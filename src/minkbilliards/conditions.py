@@ -5,8 +5,9 @@ The branch polynomial of a caustic pair (gamma1, gamma2) on the ellipsoid
 
     P(x) = eps (a1-x)(a2-x)(a3+x)(gamma1-x)(gamma2-x),   eps = sign(g1*g2),
 
-so P(0) > 0.  The conditions engine works with exact rationals only; the
-kinds of normalized series and the Hankel block shapes are:
+so P(0) > 0.  The rank tests work with exact rationals only (the series
+kernel is number-generic, so ``condition_vector`` also serves the float
+search); the kinds of normalized series and the Hankel block shapes are:
 
     even n = 2m:  A block (m-1) x (m-2) starting at A4, deficient if rank < m-2
                   B block  m    x (m-1) starting at B2, deficient if rank < m-1
@@ -31,7 +32,6 @@ from .errors import (
     GammaOutOfRangeError,
     NonpositiveIntegrandError,
     SingularCurveError,
-    ZeroGammaError,
 )
 from .series import (
     NormalizedSeries,
@@ -39,7 +39,6 @@ from .series import (
     hankel_rank,
     normalized_branch_poly,
     series_div,
-    series_mul,
     series_sqrt,
 )
 
@@ -63,6 +62,11 @@ class HyperellipticParams:
     gamma2: Fraction | None
 
     def __post_init__(self) -> None:
+        # ints would turn into floats in the number-generic series kernel
+        for name in ("a1", "a2", "a3", "gamma1", "gamma2"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, Fraction(value))
         if not (self.a1 > self.a2 > 0 and self.a3 > 0):
             raise SingularCurveError(f"invalid ellipsoid {(self.a1, self.a2, self.a3)}")
         specials = {self.a1, self.a2, -self.a3}
@@ -93,16 +97,45 @@ class HyperellipticParams:
                    rationalize(gamma1, bound),
                    None if gamma2 is None else rationalize(gamma2, bound))
 
+    @property
+    def base_kind(self) -> SeriesKind:
+        """Kind of the undivided square-root series of these parameters."""
+        if self.is_double:
+            return SeriesKind.DOUBLE_A
+        return SeriesKind.LIGHT_A if self.is_lightlike else SeriesKind.A
+
     def branch_poly_normalized(self) -> list[Fraction]:
         """P(x)/P(0) (or its degenerate limit) as an exact polynomial."""
-        roots = [(self.a1, 1), (self.a2, 1), (-self.a3, 1)]
-        if self.gamma2 is None:
-            roots.append((self.gamma1, 1))
-        elif self.is_double:
-            roots.append((self.gamma1, 2))
-        else:
-            roots += [(self.gamma1, 1), (self.gamma2, 1)]
-        return normalized_branch_poly(roots)
+        return _branch_poly((self.a1, self.a2, self.a3), _KINDS[self.base_kind][0],
+                            (self.gamma1, self.gamma2))
+
+
+# kind -> (caustic roots of the branch polynomial, caustic factors
+# (1 - x/gamma) divided out of its normalized square root, index of the first
+# of the two named coefficients of the small-n test); caustics are indices
+# into the pair (gamma1, gamma2)
+_KINDS: dict[SeriesKind, tuple[tuple[int, ...], tuple[int, ...], int]] = {
+    SeriesKind.A: ((0, 1), (), 4),
+    SeriesKind.B: ((0, 1), (0, 1), 2),
+    SeriesKind.C: ((0, 1), (0,), 3),
+    SeriesKind.D: ((0, 1), (1,), 3),
+    SeriesKind.DOUBLE_A: ((0, 0), (), 4),
+    SeriesKind.DOUBLE_B: ((0, 0), (0, 0), 2),
+    SeriesKind.LIGHT_A: ((0,), (), 4),
+    SeriesKind.LIGHT_B: ((0,), (0,), 3),
+}
+
+
+def _branch_poly(a, caustics: tuple[int, ...], gammas) -> list:
+    a1, a2, a3 = a
+    return normalized_branch_poly([(a1, 1), (a2, 1), (-a3, 1)]
+                                  + [(gammas[i], 1) for i in caustics])
+
+
+def _divide(coeffs: list, divisors: tuple[int, ...], gammas, order: int) -> list:
+    for i in divisors:
+        coeffs = series_div(coeffs, [1, -1 / gammas[i]], order)
+    return coeffs
 
 
 def sqrt_series(params: HyperellipticParams, order: int) -> NormalizedSeries:
@@ -114,51 +147,22 @@ def sqrt_series(params: HyperellipticParams, order: int) -> NormalizedSeries:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    if params.is_double:
-        base = normalized_branch_poly([(params.a1, 1), (params.a2, 1), (-params.a3, 1)])
-        s = series_sqrt(base, order)
-        lin = [Fraction(1), Fraction(-1) / params.gamma1]
-        return NormalizedSeries(SeriesKind.DOUBLE_A, tuple(series_mul(s, lin, order)))
-    if params.is_lightlike:
-        base = params.branch_poly_normalized()
-        return NormalizedSeries(SeriesKind.LIGHT_A, tuple(series_sqrt(base, order)))
-    base = params.branch_poly_normalized()
-    return NormalizedSeries(SeriesKind.A, tuple(series_sqrt(base, order)))
+    return NormalizedSeries(params.base_kind,
+                            tuple(series_sqrt(params.branch_poly_normalized(), order)))
 
 
 def divided_series(base: NormalizedSeries, kind: SeriesKind,
                    params: HyperellipticParams) -> NormalizedSeries:
     """Divide the base series by the normalized caustic factor(s) of ``kind``."""
-    order = base.order
-    coeffs = list(base.coeffs)
-    g1 = params.gamma1
-    if g1 == 0:
-        raise ZeroGammaError("gamma1 must be nonzero")
-    lin1 = [Fraction(1), Fraction(-1) / g1]
-    if kind is SeriesKind.B:
-        if base.kind is not SeriesKind.A or params.gamma2 is None:
-            raise ValueError("B series divides the A series by both caustic factors")
-        lin2 = [Fraction(1), Fraction(-1) / params.gamma2]
-        out = series_div(series_div(coeffs, lin1, order), lin2, order)
-    elif kind is SeriesKind.C:
-        if base.kind is not SeriesKind.A:
-            raise ValueError("C series divides the A series")
-        out = series_div(coeffs, lin1, order)
-    elif kind is SeriesKind.D:
-        if base.kind is not SeriesKind.A or params.gamma2 is None:
-            raise ValueError("D series divides the A series by the gamma2 factor")
-        lin2 = [Fraction(1), Fraction(-1) / params.gamma2]
-        out = series_div(coeffs, lin2, order)
-    elif kind is SeriesKind.DOUBLE_B:
-        if base.kind is not SeriesKind.DOUBLE_A:
-            raise ValueError("doubleB divides the doubleA series twice by the caustic factor")
-        out = series_div(series_div(coeffs, lin1, order), lin1, order)
-    elif kind is SeriesKind.LIGHT_B:
-        if base.kind is not SeriesKind.LIGHT_A:
-            raise ValueError("lightB divides the lightA series by the caustic factor")
-        out = series_div(coeffs, lin1, order)
-    else:
+    caustics, divisors, _ = _KINDS[kind]
+    if not divisors:
         raise ValueError(f"not a divided kind: {kind}")
+    if _KINDS[base.kind][:2] != (caustics, ()):
+        raise ValueError(f"{kind.value} series divides the undivided series of the "
+                         f"same branch polynomial, not {base.kind.value}")
+    if params.gamma2 is None and 1 in divisors:
+        raise ValueError(f"{kind.value} series divides by the gamma2 factor")
+    out = _divide(list(base.coeffs), divisors, (params.gamma1, params.gamma2), base.order)
     return NormalizedSeries(kind, tuple(out))
 
 
@@ -183,22 +187,22 @@ def _required_order(n: int) -> int:
     return n + 2
 
 
-def condition_vector(params: HyperellipticParams, kind: SeriesKind, n: int) -> list[Fraction]:
+def condition_vector(a, kind: SeriesKind, n: int, g1, g2) -> list:
     """The named small-n coefficient vector whose joint vanishing is the test.
 
     n=4 (B or doubleB): (B2, B3); n=5 (C, D or lightB): (C3, C4);
-    n=6 (A, doubleA or lightA): (A4, A5).  Used by the scalar search and
-    the small-matrix agreement checks.
+    n=6 (A, doubleA or lightA): (A4, A5).  ``a`` is the ellipsoid triple and
+    ``g2`` is None for the double and light-like kinds.  This is the one
+    evaluator of the conditions for every number type: Fractions give the
+    exact coefficients, floats the residuals that Newton refinement and
+    cross-validation use, and numpy arrays of caustic parameters the values
+    over a whole search grid in one call.
     """
+    caustics, divisors, first = _KINDS[kind]
     order = _required_order(n)
-    base = sqrt_series(params, order)
-    if kind in (SeriesKind.A, SeriesKind.DOUBLE_A, SeriesKind.LIGHT_A):
-        s = base
-        return [s[4], s[5]]
-    s = divided_series(base, kind, params)
-    if kind in (SeriesKind.B, SeriesKind.DOUBLE_B):
-        return [s[2], s[3]]
-    return [s[3], s[4]]
+    s = series_sqrt(_branch_poly(a, caustics, (g1, g2)), order)
+    s = _divide(s, divisors, (g1, g2), order)
+    return [s[first], s[first + 1]]
 
 
 _EVEN_BRANCHES: dict[CausticCase, tuple[str, ...]] = {

@@ -206,6 +206,13 @@ def _polish_cubic_root(coeffs: tuple[float, float, float, float], x: float, step
     return x
 
 
+def require_inside(p: Vec3, ell: Ellipsoid, surface_tol: float = 1e-8) -> None:
+    """Raise OutsideDomainError unless p lies inside or on the ellipsoid."""
+    res = ell.surface_residual(p)
+    if res > surface_tol:
+        raise OutsideDomainError(f"point outside ellipsoid, residual {res:.3e}")
+
+
 def elliptic_coordinates(p: Vec3, ell: Ellipsoid, *, surface_tol: float = 1e-8) -> EllipticCoords:
     """Generalized elliptic coordinates of a point inside (or on) the ellipsoid.
 
@@ -215,9 +222,7 @@ def elliptic_coordinates(p: Vec3, ell: Ellipsoid, *, surface_tol: float = 1e-8) 
     planes through a pole of the family, or a tropic collision) raise
     DegeneratePointError.
     """
-    res = ell.surface_residual(p)
-    if res > surface_tol:
-        raise OutsideDomainError(f"point outside ellipsoid, residual {res:.3e}")
+    require_inside(p, ell, surface_tol)
     coeffs = _confocal_cubic(p, ell)
     roots = sorted(_polish_cubic_root(coeffs, r) for r in _cubic_roots_trig(*coeffs))
     lam1, lam2, lam3 = roots

@@ -9,18 +9,21 @@ float root, its bounded-denominator rationalization, the exact rank-test
 verdict at the rationalized point (almost always false, since the exact
 conditions hold only at the algebraic root) and the float condition
 residual that the validation report uses instead.
+
+The conditions have one evaluator, ``conditions.condition_vector``: the exact
+engine's series kernel run on other number types.  The grid scan passes
+numpy arrays of caustic parameters and evaluates every grid point in one
+call; Newton refinement, the 1-D bisection and cross-validation pass floats.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import HyperellipticParams, cayley_test, darboux_integrals
+from .conditions import HyperellipticParams, cayley_test, condition_vector, darboux_integrals
 from .confocal import (
     CausticCase,
     CausticPair,
@@ -49,69 +52,7 @@ SEARCH_RESIDUAL_TOL = 1e-9
 CLOSURE_TOL = 1e-6
 
 
-# -- float condition evaluation ------------------------------------------------
-
-def _sqrt_series_f(f: np.ndarray, order: int) -> np.ndarray:
-    s = np.zeros(order + 1)
-    s[0] = 1.0
-    for k in range(1, order + 1):
-        fk = f[k] if k < len(f) else 0.0
-        acc = np.dot(s[1:k], s[k - 1:0:-1]) if k > 1 else 0.0
-        s[k] = (fk - acc) / 2.0
-    return s
-
-
-def _div_series_f(a: np.ndarray, d: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros(order + 1)
-    for k in range(order + 1):
-        acc = a[k] if k < len(a) else 0.0
-        for j in range(1, min(k, len(d) - 1) + 1):
-            acc -= d[j] * out[k - j]
-        out[k] = acc
-    return out
-
-
-def _branch_poly_f(roots: list[tuple[float, int]]) -> np.ndarray:
-    poly = np.array([1.0])
-    for r, mult in roots:
-        for _ in range(mult):
-            poly = np.convolve(poly, np.array([1.0, -1.0 / r]))
-    return poly
-
-
-def condition_vector_floats(a: tuple[float, float, float], kind: SeriesKind, n: int,
-                            g1: float, g2: float | None) -> tuple[float, float]:
-    """Float value of the two named coefficients whose vanishing is the n-test."""
-    a1, a2, a3 = a
-    order = n + 2
-    if kind in (SeriesKind.LIGHT_A, SeriesKind.LIGHT_B):
-        base = _branch_poly_f([(a1, 1), (a2, 1), (-a3, 1), (g1, 1)])
-    elif kind in (SeriesKind.DOUBLE_A, SeriesKind.DOUBLE_B):
-        base = _branch_poly_f([(a1, 1), (a2, 1), (-a3, 1), (g1, 2)])
-    else:
-        assert g2 is not None
-        base = _branch_poly_f([(a1, 1), (a2, 1), (-a3, 1), (g1, 1), (g2, 1)])
-    if kind in (SeriesKind.LIGHT_B, SeriesKind.DOUBLE_B):
-        # sqrt of base/(1-x/g1)^2 handled via series division after sqrt
-        s = _sqrt_series_f(base, order)
-        s = _div_series_f(s, np.array([1.0, -1.0 / g1]), order)
-        if kind is SeriesKind.DOUBLE_B:
-            s = _div_series_f(s, np.array([1.0, -1.0 / g1]), order)
-        return (s[3], s[4]) if kind is SeriesKind.LIGHT_B else (s[2], s[3])
-    s = _sqrt_series_f(base, order)
-    if kind is SeriesKind.A or kind is SeriesKind.DOUBLE_A or kind is SeriesKind.LIGHT_A:
-        return (s[4], s[5])
-    if kind is SeriesKind.B:
-        s = _div_series_f(s, np.array([1.0, -1.0 / g1]), order)
-        s = _div_series_f(s, np.array([1.0, -1.0 / g2]), order)
-        return (s[2], s[3])
-    if kind is SeriesKind.C:
-        s = _div_series_f(s, np.array([1.0, -1.0 / g1]), order)
-        return (s[3], s[4])
-    if kind is SeriesKind.D:
-        s = _div_series_f(s, np.array([1.0, -1.0 / g2]), order)
-        return (s[3], s[4])
-    raise ValueError(kind)
+condition_vector_floats = condition_vector
 
 
 _CASE_RECTS = {
@@ -214,20 +155,7 @@ def _newton2(func, x0, tol, itmax=60):
     return x, np.max(np.abs(fx)) < tol
 
 
-def _grid_eval_chunk(args):
-    a, kind_value, n, points = args
-    kind = SeriesKind(kind_value)
-    out = []
-    for (g1, g2) in points:
-        try:
-            f1, f2 = condition_vector_floats(a, kind, n, g1, g2)
-            out.append(abs(f1) + abs(f2))
-        except (ZeroDivisionError, FloatingPointError, ValueError):
-            out.append(math.inf)
-    return out
-
-
-def find_periodic(spec: SearchSpec, workers: int | None = None) -> list[PeriodicCandidate]:
+def find_periodic(spec: SearchSpec) -> list[PeriodicCandidate]:
     """Locate roots of the periodicity conditions inside the case rectangle.
 
     Grid scan of |f1| + |f2| followed by damped Newton on the pair from the
@@ -254,24 +182,16 @@ def find_periodic(spec: SearchSpec, workers: int | None = None) -> list[Periodic
     pad2 = 0.02 * (g2hi - g2lo)
     g1s = np.linspace(g1lo + pad1, g1hi - pad1, spec.grid)
     g2s = np.linspace(g2lo + pad2, g2hi - pad2, spec.grid)
-    points = [(float(g1), float(g2)) for g1 in g1s for g2 in g2s]
-
-    if workers is None:
-        workers = int(os.environ.get("MBL_WORKERS", "1"))
-    if workers > 1:
-        chunks = [points[i::workers] for i in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_grid_eval_chunk,
-                                    [(a, kind.value, n, ch) for ch in chunks]))
-        vals = [math.inf] * len(points)
-        for w, ch in enumerate(chunks):
-            for i, v in zip(range(w, len(points), workers), results[w]):
-                vals[i] = v
-    else:
-        vals = _grid_eval_chunk((a, kind.value, n, points))
+    # g1-major point order, which fixes the order of equal-valued seeds
+    g1s, g2s = np.repeat(g1s, spec.grid), np.tile(g2s, spec.grid)
+    with np.errstate(all="ignore"):
+        f1, f2 = condition_vector(a, kind, n, g1s, g2s)
+        vals = np.abs(f1) + np.abs(f2)
+    vals[~np.isfinite(vals)] = math.inf
 
     order = np.argsort(vals)
-    seeds = [points[i] for i in order[: max(12, spec.grid // 2)] if math.isfinite(vals[i])]
+    seeds = [(float(g1s[i]), float(g2s[i])) for i in order[: max(12, spec.grid // 2)]
+             if math.isfinite(vals[i])]
 
     return _refine_candidates(spec, kind, (g1lo, g1hi), (g2lo, g2hi), seeds)
 
@@ -285,7 +205,7 @@ def _refine_candidates(spec: SearchSpec, kind: SeriesKind,
     g2lo, g2hi = g2b
 
     def fun(x):
-        return condition_vector_floats(a, kind, n, float(x[0]), float(x[1]))
+        return condition_vector(a, kind, n, float(x[0]), float(x[1]))
 
     roots: list[tuple[float, float]] = []
     for seed in seeds:
@@ -332,15 +252,11 @@ def scan_singular_condition(a: tuple[float, float, float], case: CausticCase, n:
         raise EmptyRangeError("empty gamma scan range")
 
     def f1(g: float) -> float:
-        return condition_vector_floats(a, kind, n, g, None)[0]
+        return condition_vector(a, kind, n, g, None)[0]
 
     gs = np.linspace(lo, hi, samples)
-    vals = []
-    for g in gs:
-        try:
-            vals.append(f1(float(g)))
-        except (ZeroDivisionError, FloatingPointError, ValueError):
-            vals.append(math.nan)
+    with np.errstate(all="ignore"):
+        vals = f1(gs).tolist()
     out = []
     for i in range(samples - 1):
         va, vb = vals[i], vals[i + 1]
@@ -356,7 +272,7 @@ def scan_singular_condition(a: tuple[float, float, float], case: CausticCase, n:
             else:
                 x0, f0 = xm, fm
         root = 0.5 * (x0 + x1)
-        out.append((root, condition_vector_floats(a, kind, n, root, None)[1]))
+        out.append((root, condition_vector(a, kind, n, root, None)[1]))
     return out
 
 
@@ -605,11 +521,10 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
     try:
         kind = _search_kind(case, n)
         if kind is not None:
-            f1, f2 = condition_vector_floats((ell.a1, ell.a2, ell.a3), kind, n,
-                                             cp.gamma1, g2)
+            f1, f2 = condition_vector((ell.a1, ell.a2, ell.a3), kind, n, cp.gamma1, g2)
             report.condition_residual = abs(f1) + abs(f2)
-    except (BilliardError, ValueError, ZeroDivisionError):
-        pass
+    except (BilliardError, ValueError, ZeroDivisionError) as exc:
+        report.failure_stage = f"condition: {exc}"
     for variant in pell_variants_for(case, n):
         try:
             sol = solve_pell(params, n, variant)

@@ -7,7 +7,12 @@ removes the common irrational factor.  Rank conditions are invariant under
 scaling the whole series, so the normalized coefficients carry exactly the
 same Hankel ranks as the raw ones.
 
-Polynomials and series are lists of Fractions in ascending degree.
+Polynomials and series are lists of coefficients in ascending degree.  The
+kernel (products, square root, quotient) uses only + - * / and takes its
+zeros and ones from its input, so the same code runs on Fractions (the
+exact engine), on floats (Newton refinement) and on numpy arrays holding
+one value per grid point (the search's grid scan).  Exact input gives
+exact output: no float ever enters a Fraction series.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import InsufficientOrderError, ZeroGammaError
 
@@ -45,11 +52,11 @@ class NormalizedSeries:
 
 
 def poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    zero = a[0] - a[0]
+    out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
+        for j, bj in enumerate(b):
+            out[i + j] = out[i + j] + ai * bj
     return out
 
 
@@ -58,50 +65,56 @@ def series_sqrt(f: list[Fraction], order: int) -> list[Fraction]:
 
     Recurrence from squaring: 2 s_k = f_k - sum_{i=1}^{k-1} s_i s_{k-i}.
     """
-    if not f or f[0] != 1:
+    if not f or np.any(f[0] != 1):
         raise ValueError("series_sqrt requires constant term 1")
-    s = [Fraction(1)] + [Fraction(0)] * order
+    zero = f[0] - f[0]
+    s = [f[0]] + [zero] * order
     for k in range(1, order + 1):
-        fk = f[k] if k < len(f) else Fraction(0)
-        acc = sum((s[i] * s[k - i] for i in range(1, k)), Fraction(0))
+        fk = f[k] if k < len(f) else zero
+        acc = sum((s[i] * s[k - i] for i in range(1, k)), zero)
         s[k] = (fk - acc) / 2
     return s
 
 
 def series_div(a: list[Fraction], d: list[Fraction], order: int) -> list[Fraction]:
     """Series quotient a / d through the given order; requires d[0] = 1."""
-    if not d or d[0] != 1:
+    if not d or np.any(d[0] != 1):
         raise ValueError("series_div requires divisor constant term 1")
-    out = [Fraction(0)] * (order + 1)
+    zero = a[0] - a[0]
+    out = [zero] * (order + 1)
     for k in range(order + 1):
-        acc = a[k] if k < len(a) else Fraction(0)
+        acc = a[k] if k < len(a) else zero
         for j in range(1, min(k, len(d) - 1) + 1):
-            acc -= d[j] * out[k - j]
+            acc = acc - d[j] * out[k - j]
         out[k] = acc
     return out
 
 
 def series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
+    zero = a[0] - a[0]
+    out = [zero] * (order + 1)
     for i, ai in enumerate(a[: order + 1]):
-        if ai:
-            for j, bj in enumerate(b[: order + 1 - i]):
-                out[i + j] += ai * bj
+        for j, bj in enumerate(b[: order + 1 - i]):
+            out[i + j] = out[i + j] + ai * bj
     return out
 
 
 def normalized_branch_poly(factors: list[tuple[Fraction, int]]) -> list[Fraction]:
-    """Product of (1 - x/r)^m over (r, m) pairs, as an exact polynomial.
+    """Product of (1 - x/r)^m over (r, m) pairs, as a polynomial.
 
     This is P(x)/P(0) for the branch polynomial with the given roots; roots
-    must be nonzero and, for a non-singular curve, pairwise distinct.
+    must be nonzero and, for a non-singular curve, pairwise distinct.  The
+    constant term is the first root's own 1, so exact roots give an exact
+    polynomial.
     """
-    poly = [Fraction(1)]
+    poly = [factors[0][0] ** 0]
     for root, mult in factors:
-        if root == 0:
-            raise ZeroGammaError("branch root at 0 is not admissible")
+        try:
+            lin = [1, -1 / root]
+        except ZeroDivisionError:
+            raise ZeroGammaError("branch root at 0 is not admissible") from None
         for _ in range(mult):
-            poly = poly_mul_frac(poly, [Fraction(1), Fraction(-1, 1) / root])
+            poly = poly_mul_frac(poly, lin)
     return poly
 
 

@@ -24,6 +24,7 @@ from .confocal import (
     classify_case,
     elliptic_coordinates,
     line_caustics,
+    require_inside,
     tangency_residual,
 )
 from .errors import (
@@ -173,8 +174,13 @@ def trace(p: Vec3, v: Vec3, ell: Ellipsoid, max_bounces: int) -> Trajectory:
     """Iterate the billiard map, attaching caustics, case and per-bounce data.
 
     Stops at max_bounces or at an undefined reflection / degenerate start;
-    partial trajectories carry the failure in ``error``.
+    partial trajectories carry the failure in ``error``.  A start point
+    outside the ellipsoid raises OutsideDomainError and a negative bounce
+    count ValueError.
     """
+    if max_bounces < 0:
+        raise ValueError(f"bounce count must be nonnegative, got {max_bounces}")
+    require_inside(p, ell)
     traj = Trajectory(p, v, ell)
     try:
         traj.caustics = line_caustics(p, v, ell)

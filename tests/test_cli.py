@@ -137,3 +137,17 @@ def test_usage_error_exit_codes(capsys):
                "--dir", "1,0,0")[0] == 2
     assert run(capsys, "verify-pell", "--cert", "/nonexistent/file.json")[0] == 2
     assert main(["classify", "1", "0"]) == 2   # missing argument
+
+
+def test_trace_rejects_bad_input(capsys):
+    # a start outside the ellipsoid is a precondition error, not a bounce
+    code, out, err = run(capsys, "trace", "--ellipsoid", "4,2,1",
+                         "--point", "3,0,0", "--dir=-1,0,0.01", "--bounces", "5")
+    assert code == 2 and out == "" and "outside ellipsoid" in err
+    code, out, _ = run(capsys, "trace", "--ellipsoid", "4,2,1",
+                       "--point", "0.1,0.2,0.05", "--dir", "1,0.3,0.2", "--bounces", "-5")
+    assert code == 2 and out == ""
+    # zero bounces is still a valid (empty) request
+    code, out, _ = run(capsys, "trace", "--ellipsoid", "4,2,1",
+                       "--point", "0.1,0.2,0.05", "--dir", "1,0.3,0.2", "--bounces", "0")
+    assert code == 0 and json.loads(out)["bounces"] == []

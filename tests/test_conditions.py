@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from minkbilliards import (
@@ -107,7 +108,8 @@ def test_cayley_exact_vector_s1_n4():
     assert cayley_test(EXACT_S1_N4, CausticCase.S1, 4) is True
     # small-matrix agreement: the n=4 test is the joint vanishing of the two
     # named coefficients of the divided series
-    v = condition_vector(EXACT_S1_N4, SeriesKind.B, 4)
+    p = EXACT_S1_N4
+    v = condition_vector((p.a1, p.a2, p.a3), SeriesKind.B, 4, p.gamma1, p.gamma2)
     assert v == [F(0), F(0)]
     # perturbing gamma1 breaks it
     near = HyperellipticParams(F(1), F(6, 7), F(6), F(3, 4) + F(1, 10 ** 7), F(-3))
@@ -169,6 +171,7 @@ def test_condition_vector_float_matches_exact():
     from minkbilliards.search import condition_vector_floats
     import random
     rng = random.Random(6)
+    pairs = []
     for _ in range(25):
         g1 = F(rng.randint(1, 15), 8)
         g2 = F(-rng.randint(1, 15), 8)
@@ -176,13 +179,24 @@ def test_condition_vector_float_matches_exact():
             p = params421(g1, g2)
         except SingularCurveError:
             continue
+        pairs.append((p, g1, g2))
         for kind, n in ((SeriesKind.B, 4), (SeriesKind.C, 5), (SeriesKind.D, 5),
                         (SeriesKind.A, 6)):
-            exact = condition_vector(p, kind, n)
+            exact = condition_vector((p.a1, p.a2, p.a3), kind, n, p.gamma1, p.gamma2)
             approx = condition_vector_floats((4.0, 2.0, 1.0), kind, n,
                                              float(g1), float(g2))
             for e_, a_ in zip(exact, approx):
                 assert abs(float(e_) - a_) <= 1e-10 * max(1.0, abs(a_))
+    # ndarray input: every pair above in one call
+    g1s = np.array([float(g1) for _, g1, _ in pairs])
+    g2s = np.array([float(g2) for _, _, g2 in pairs])
+    for kind, n in ((SeriesKind.B, 4), (SeriesKind.C, 5), (SeriesKind.D, 5),
+                    (SeriesKind.A, 6)):
+        approx = condition_vector_floats((4.0, 2.0, 1.0), kind, n, g1s, g2s)
+        for i, (p, _, _) in enumerate(pairs):
+            exact = condition_vector((p.a1, p.a2, p.a3), kind, n, p.gamma1, p.gamma2)
+            for e_, a_ in zip(exact, approx):
+                assert abs(float(e_) - a_[i]) <= 1e-10 * max(1.0, abs(a_[i]))
     # degenerate kinds
     for kind, n, g in ((SeriesKind.DOUBLE_B, 4, F(5, 2)), (SeriesKind.DOUBLE_A, 6, F(5, 2)),
                        (SeriesKind.LIGHT_B, 5, F(3, 2)), (SeriesKind.LIGHT_A, 6, F(3, 2))):
@@ -190,7 +204,7 @@ def test_condition_vector_float_matches_exact():
             p = HyperellipticParams(F(4), F(2), F(1), g, g)
         else:
             p = HyperellipticParams(F(4), F(2), F(1), g, None)
-        exact = condition_vector(p, kind, n)
+        exact = condition_vector((p.a1, p.a2, p.a3), kind, n, p.gamma1, p.gamma2)
         approx = condition_vector_floats((4.0, 2.0, 1.0), kind, n, float(g), None)
         for e_, a_ in zip(exact, approx):
             assert abs(float(e_) - a_) <= 1e-10 * max(1.0, abs(a_))

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from minkbilliards import HyperellipticParams, condition_vector, sqrt_series
 from minkbilliards.errors import InsufficientOrderError
 from minkbilliards.series import (
     NormalizedSeries,
@@ -95,3 +98,38 @@ def test_poly_mul_frac():
     a = [F(1), F(2)]
     b = [F(3), F(0), F(1)]
     assert poly_mul_frac(a, b) == [F(3), F(6), F(1), F(2)]
+
+
+def test_generic_kernel_stays_exact():
+    # Fraction input gives Fraction output, also past the input's degree,
+    # where a kernel seeding its zeros from float or int literals would
+    # return 0.0 or 0 (and Fraction(0) == 0.0 hides that from comparisons)
+    outputs = [
+        series_sqrt([F(1)], 3),
+        series_sqrt([F(1), F(-2, 5)], 7),
+        series_div([F(3, 2)], [F(1), F(-2, 3)], 4),
+        series_div([F(1), F(1, 7)], [1, F(5)], 6),
+        normalized_branch_poly([(F(4), 1), (F(-1), 2)]),
+    ]
+    # int-valued parameters are read as rationals
+    for p in (HyperellipticParams(4, 2, 1, F(3, 2), F(-1, 2)),
+              HyperellipticParams(6, F(3, 2), 2, 2, 2),
+              HyperellipticParams(4, 2, 1, F(3, 2), None)):
+        a = (p.a1, p.a2, p.a3)
+        outputs.append(list(sqrt_series(p, 8).coeffs))
+        kinds = {SeriesKind.A: (SeriesKind.A, SeriesKind.B, SeriesKind.C, SeriesKind.D),
+                 SeriesKind.DOUBLE_A: (SeriesKind.DOUBLE_A, SeriesKind.DOUBLE_B),
+                 SeriesKind.LIGHT_A: (SeriesKind.LIGHT_A, SeriesKind.LIGHT_B)}[p.base_kind]
+        for kind in kinds:
+            outputs.append(condition_vector(a, kind, 6, p.gamma1, p.gamma2))
+    for coeffs in outputs:
+        assert coeffs and all(type(c) is F for c in coeffs), coeffs
+
+
+@given(st.lists(st.fractions(-10, 10, max_denominator=20), max_size=6),
+       st.integers(0, 10))
+def test_series_sqrt_squares_back_property(tail, order):
+    f = [F(1)] + tail
+    s = series_sqrt(f, order)
+    assert all(type(c) is F for c in s)
+    assert series_mul(s, s, order) == [f[k] if k < len(f) else 0 for k in range(order + 1)]
