@@ -5,9 +5,9 @@ The branch polynomial of a caustic pair (gamma1, gamma2) on the ellipsoid
 
     P(x) = eps (a1-x)(a2-x)(a3+x)(gamma1-x)(gamma2-x),   eps = sign(g1*g2),
 
-so P(0) > 0.  The rank tests work with exact rationals only (the series
-kernel is number-generic, so ``condition_vector`` also serves the float
-search); the kinds of normalized series and the Hankel block shapes are:
+so P(0) > 0.  The rank tests decide exactly (the series kernel is
+number-generic, so ``condition_vector`` also serves the float search); the
+kinds of normalized series and the Hankel block shapes are:
 
     even n = 2m:  A block (m-1) x (m-2) starting at A4, deficient if rank < m-2
                   B block  m    x (m-1) starting at B2, deficient if rank < m-1
@@ -16,6 +16,12 @@ search); the kinds of normalized series and the Hankel block shapes are:
 with B = A / ((1-x/g1)(1-x/g2)), C = A / (1-x/g1), D = A / (1-x/g2).
 The double-caustic and light-like limits use the corresponding degenerate
 branch polynomials (gamma repeated, or the quartic without gamma2).
+
+Every Hankel test goes through ``_test_A``, ``_test_B`` or ``_test_CD`` and
+runs twice at most: first on the series built modulo the prime p of
+``series.MODULUS``, where a block of full rank proves full rank over Q, and
+on the exact rational series only when some block is deficient mod p (the
+rare SATISFIED case) or a caustic or ellipsoid parameter is not a p-unit.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ from .errors import (
     SingularCurveError,
 )
 from .series import (
+    ModP,
+    NonUnitError,
     NormalizedSeries,
     SeriesKind,
     hankel_rank,
@@ -104,10 +112,16 @@ class HyperellipticParams:
             return SeriesKind.DOUBLE_A
         return SeriesKind.LIGHT_A if self.is_lightlike else SeriesKind.A
 
-    def branch_poly_normalized(self) -> list[Fraction]:
-        """P(x)/P(0) (or its degenerate limit) as an exact polynomial."""
-        return _branch_poly((self.a1, self.a2, self.a3), _KINDS[self.base_kind][0],
-                            (self.gamma1, self.gamma2))
+    def values(self, number=Fraction) -> tuple[tuple, tuple]:
+        """((a1, a2, a3), (gamma1, gamma2)) converted by ``number``: Fraction
+        for the exact series, ModP for its reduction mod p."""
+        return (tuple(number(x) for x in (self.a1, self.a2, self.a3)),
+                (number(self.gamma1), None if self.gamma2 is None else number(self.gamma2)))
+
+    def branch_poly_normalized(self, number=Fraction) -> list:
+        """P(x)/P(0) (or its degenerate limit) as a polynomial over ``number``."""
+        a, gammas = self.values(number)
+        return _branch_poly(a, _KINDS[self.base_kind][0], gammas)
 
 
 # kind -> (caustic roots of the branch polynomial, caustic factors
@@ -138,17 +152,20 @@ def _divide(coeffs: list, divisors: tuple[int, ...], gammas, order: int) -> list
     return coeffs
 
 
-def sqrt_series(params: HyperellipticParams, order: int) -> NormalizedSeries:
+def sqrt_series(params: HyperellipticParams, order: int,
+                number=Fraction) -> NormalizedSeries:
     """Normalized square-root series of the branch polynomial.
 
     Generic parameters give the A kind; the double caustic gives the series
     of (gamma1-x) sqrt((a1-x)(a2-x)(a3+x)) and the light-like limit the
     series of sqrt((a1-x)(a2-x)(a3+x)(gamma1-x)), each normalized to 1 at 0.
+    With ``number=ModP`` the same kernel gives the reduction of that series
+    mod p, or raises ``NonUnitError`` when it has no reduction.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     return NormalizedSeries(params.base_kind,
-                            tuple(series_sqrt(params.branch_poly_normalized(), order)))
+                            tuple(series_sqrt(params.branch_poly_normalized(number), order)))
 
 
 def divided_series(base: NormalizedSeries, kind: SeriesKind,
@@ -162,7 +179,9 @@ def divided_series(base: NormalizedSeries, kind: SeriesKind,
                          f"same branch polynomial, not {base.kind.value}")
     if params.gamma2 is None and 1 in divisors:
         raise ValueError(f"{kind.value} series divides by the gamma2 factor")
-    out = _divide(list(base.coeffs), divisors, (params.gamma1, params.gamma2), base.order)
+    # the caustic factors in the base series' own number type
+    _, gammas = params.values(type(base.coeffs[0]))
+    out = _divide(list(base.coeffs), divisors, gammas, base.order)
     return NormalizedSeries(kind, tuple(out))
 
 
@@ -185,6 +204,23 @@ def _test_CD(series: NormalizedSeries, m: int) -> bool:
 
 def _required_order(n: int) -> int:
     return n + 2
+
+
+def _certified(deficient) -> bool:
+    """Exact verdict of a Hankel test ``deficient(number)``, decided mod p
+    when it can be.
+
+    The series mod p is the reduction of the rational one, so a block of
+    full rank mod p has full rank over Q: a False verdict mod p is the exact
+    verdict.  A deficient block mod p, or a value without a reduction,
+    leaves the decision to the rational series.
+    """
+    try:
+        if not deficient(ModP):
+            return False
+    except NonUnitError:
+        pass
+    return deficient(Fraction)
 
 
 def condition_vector(a, kind: SeriesKind, n: int, g1, g2) -> list:
@@ -261,7 +297,8 @@ def cayley_test(params: HyperellipticParams, case: CausticCase, n: int) -> bool:
     Dispatches to the A/B (even) and C/D (odd) Hankel blocks admissible for
     the case; below the period thresholds (A: n>=6, B: n>=4, C/D: n>=5) the
     corresponding branch is false.  Double and light-like cases delegate to
-    their dedicated tests.
+    their dedicated tests.  The blocks are ranked mod p first; see
+    ``_certified``.
     """
     if n < 3:
         raise ValueError("period must be at least 3")
@@ -270,9 +307,12 @@ def cayley_test(params: HyperellipticParams, case: CausticCase, n: int) -> bool:
         return double_caustic_test((params.a1, params.a2, params.a3), params.gamma1, n)
     if case is CausticCase.LIGHT:
         return lightlike_test((params.a1, params.a2, params.a3), params.gamma1, n)
+    return _certified(lambda number: _generic_deficient(params, case, n, number))
 
-    order = _required_order(n)
-    base = sqrt_series(params, order)
+
+def _generic_deficient(params: HyperellipticParams, case: CausticCase, n: int,
+                       number) -> bool:
+    base = sqrt_series(params, _required_order(n), number)
     if n % 2 == 0:
         m = n // 2
         for branch in _EVEN_BRANCHES[case]:
@@ -305,12 +345,13 @@ def double_caustic_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction
         return False
     m = n // 2
     params = HyperellipticParams(a1, a2, a3, gamma1, gamma1)
-    base = sqrt_series(params, _required_order(n))
-    if n >= 6 and _test_A(base, m):
-        return True
-    if n >= 4 and _test_B(divided_series(base, SeriesKind.DOUBLE_B, params), m):
-        return True
-    return False
+
+    def deficient(number) -> bool:
+        base = sqrt_series(params, _required_order(n), number)
+        return ((n >= 6 and _test_A(base, m))
+                or (n >= 4 and _test_B(divided_series(base, SeriesKind.DOUBLE_B, params), m)))
+
+    return _certified(deficient)
 
 
 def lightlike_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction, n: int) -> bool:
@@ -324,17 +365,17 @@ def lightlike_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction, n: 
     if not (-a3 < gamma1 < a2 or a2 < gamma1 < a1):
         raise GammaOutOfRangeError(f"gamma1={gamma1} is not a non-degenerate caustic parameter")
     params = HyperellipticParams(a1, a2, a3, gamma1, None)
-    base = sqrt_series(params, _required_order(n))
+    order = _required_order(n)
     if n % 2 == 0:
         m = n // 2
-        return n >= 6 and _test_A(base, m)
+        return n >= 6 and _certified(lambda number: _test_A(sqrt_series(params, order, number), m))
     if not (-a3 < gamma1 < a2):
         return False     # odd periods require the ellipsoid caustic
     if n < 5:
         return False
     m = (n - 1) // 2
-    s = divided_series(base, SeriesKind.LIGHT_B, params)
-    return hankel_rank(s, 3, m, m - 1) < m - 1
+    return _certified(lambda number: _test_CD(
+        divided_series(sqrt_series(params, order, number), SeriesKind.LIGHT_B, params), m))
 
 
 # -- winding-number integrals -------------------------------------------------

@@ -16,6 +16,13 @@ exactly rational; with p* monic the plain even and light-even variants give
 R = 1 and the odd variants give R = -1/gamma (sign as in the source
 identities), while the two-caustic even variant gives sign(R) = sign of the
 caustic product.
+
+The solve is decided mod p first.  The q-part of the linear system is built
+from the series modulo the prime p of ``series.MODULUS``; when its columns
+are independent mod p they are independent over Q, no solution exists and
+``solve_pell`` returns None without building the rational series.  Only a
+dependent system mod p (or a parameter that is not a p-unit) goes on to the
+exact nullspace, and every returned solution comes from that exact path.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from .errors import (
     UnverifiedInputError,
 )
 from .conditions import HyperellipticParams, divided_series, sqrt_series
-from .series import SeriesKind
+from .series import ModP, NonUnitError, SeriesKind, matrix_rank, nullspace
 
 
 # -- exact polynomial arithmetic ---------------------------------------------
@@ -263,48 +270,20 @@ class PellSolution:
         return PellSolution(p, q, variant, int(d["n"]), params, rhs)
 
 
-def _variant_series(variant: PellVariant, params: HyperellipticParams, order: int):
-    base = sqrt_series(params, order)
+def _variant_series(variant: PellVariant, params: HyperellipticParams, order: int,
+                    number=Fraction):
+    base = sqrt_series(params, order, number)
     kind = _variant_series_kind(variant)
     if kind is base.kind:
         return base
     return divided_series(base, kind, params)
 
 
-def _kernel_vectors(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the exact nullspace of the (rows x ncols) rational system."""
-    m = [row[:] for row in rows]
-    nrows = len(m)
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, nrows):
-            if m[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for rr in range(nrows):
-            if rr != r and m[rr][c] != 0:
-                f = m[rr][c]
-                m[rr] = [x - f * y for x, y in zip(m[rr], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free_cols = [c for c in range(ncols) if c not in piv_cols]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            vec[pc] = -m[i][fc]
-        basis.append(vec)
-    return basis
+def _q_rows(s, dp: int, dq: int, n: int) -> list[list]:
+    """q-only part of the triangular system: orders dp+1 .. n-1."""
+    zero = s[0] - s[0]
+    return [[s[k - j] if 0 <= k - j else zero for j in range(dq + 1)]
+            for k in range(dp + 1, n)]
 
 
 def _validate_params_for_variant(variant: PellVariant, params: HyperellipticParams) -> None:
@@ -329,20 +308,22 @@ def solve_pell(params: HyperellipticParams, n: int,
                variant: PellVariant) -> PellSolution | None:
     """Solve the variant's identity at period n, or return None.
 
-    Builds the exact linear system forcing p*(x) + q*(x) S(x) to vanish to
-    order n at 0, computes the rational nullspace, picks the solution with q
-    of minimal degree, makes p* monic, and transports to s = 1/x.  A value
-    is returned iff the corresponding rank-type periodicity condition holds.
+    Builds the linear system forcing p*(x) + q*(x) S(x) to vanish to order n
+    at 0, first mod p (independent columns: None) and then exactly: computes
+    the rational nullspace, picks the solution with q of minimal degree,
+    makes p* monic, and transports to s = 1/x.  A value is returned iff the
+    corresponding rank-type periodicity condition holds.
     """
     _validate_params_for_variant(variant, params)
     dp, dq = variant_degrees(variant, n)
-    series = _variant_series(variant, params, n)
-    s = series.coeffs
-
-    # q-only part of the triangular system: orders dp+1 .. n-1
-    rows = [[s[k - j] if 0 <= k - j else Fraction(0) for j in range(dq + 1)]
-            for k in range(dp + 1, n)]
-    kernel = _kernel_vectors(rows, dq + 1)
+    try:
+        modular = _variant_series(variant, params, n, ModP).coeffs
+        if matrix_rank(_q_rows(modular, dp, dq, n)) == dq + 1:
+            return None     # independent columns mod p, hence over Q
+    except NonUnitError:
+        pass
+    s = _variant_series(variant, params, n).coeffs
+    kernel = nullspace(_q_rows(s, dp, dq, n), dq + 1)
     if not kernel:
         return None
     qvec = min(kernel, key=lambda v: max((j for j, x in enumerate(v) if x != 0), default=-1))

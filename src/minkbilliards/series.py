@@ -1,5 +1,5 @@
 """Exact rational Taylor series of the normalized square root of the quintic,
-its divided variants, and Hankel rank computation.
+its divided variants, and the exact linear algebra of the Hankel tests.
 
 All series are normalized so the constant coefficient is 1: the branch-point
 polynomial is divided by its value at 0 before taking the square root, which
@@ -10,13 +10,25 @@ same Hankel ranks as the raw ones.
 Polynomials and series are lists of coefficients in ascending degree.  The
 kernel (products, square root, quotient) uses only + - * / and takes its
 zeros and ones from its input, so the same code runs on Fractions (the
-exact engine), on floats (Newton refinement) and on numpy arrays holding
-one value per grid point (the search's grid scan).  Exact input gives
-exact output: no float ever enters a Fraction series.
+exact engine), on floats (Newton refinement), on numpy arrays holding one
+value per grid point (the search's grid scan) and on ``ModP`` residues
+modulo the prime p = 2^61 - 1.  Exact input gives exact output: no float
+ever enters a Fraction series.
+
+Exact ranks and nullspaces carry a modular certificate.  A rational matrix
+whose entries are p-integral has rank mod p at most its rank over Q, so full
+rank mod p proves full rank over Q; that decides the common NOT-SATISFIED
+verdict in word-sized arithmetic.  Every other case (deficient mod p, a
+denominator divisible by p) falls back to fraction-free Bareiss elimination
+or the exact Gauss-Jordan nullspace.  A series built from ``ModP`` input is
+the reduction of the exact one as long as every division is by a p-unit;
+``ModP`` raises ``NonUnitError`` otherwise, and the caller takes the exact
+path.  Each exact decision is logged at DEBUG on this module's logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,6 +37,93 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InsufficientOrderError, ZeroGammaError
+
+_log = logging.getLogger(__name__)
+
+MODULUS = 2 ** 61 - 1      # a Mersenne prime: residues fit one machine word
+
+
+class NonUnitError(ArithmeticError):
+    """A value is not invertible modulo ``MODULUS``: the modular certificate
+    does not apply and the exact path decides."""
+
+
+def _residue(x) -> int:
+    """The residue in [0, p) of an int, a p-integral Fraction or a ModP."""
+    if type(x) is ModP:
+        return x.v
+    if isinstance(x, int):
+        return x % MODULUS
+    if not isinstance(x, Fraction):
+        raise TypeError(f"no residue modulo p for {type(x).__name__}")
+    den = x.denominator % MODULUS
+    if den == 0:
+        raise NonUnitError(f"denominator of {x} is divisible by the modulus")
+    return x.numerator * pow(den, -1, MODULUS) % MODULUS
+
+
+def _modp(v: int) -> "ModP":
+    out = object.__new__(ModP)
+    out.v = v
+    return out
+
+
+class ModP:
+    """Element of GF(p), p = ``MODULUS``, for the number-generic series kernel.
+
+    Built from an int or a Fraction (its reduction); mixes with both in
+    + - * / and ==.  Division by a non-unit raises ``NonUnitError``.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, x) -> None:
+        self.v = _residue(x)
+
+    # the kernel mostly combines two residues: skip the conversion call then
+    def __add__(self, other) -> "ModP":
+        return _modp((self.v + (other.v if type(other) is ModP else _residue(other))) % MODULUS)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "ModP":
+        return _modp((self.v - (other.v if type(other) is ModP else _residue(other))) % MODULUS)
+
+    def __rsub__(self, other) -> "ModP":
+        return _modp((_residue(other) - self.v) % MODULUS)
+
+    def __neg__(self) -> "ModP":
+        return _modp(-self.v % MODULUS)
+
+    def __mul__(self, other) -> "ModP":
+        return _modp(self.v * (other.v if type(other) is ModP else _residue(other)) % MODULUS)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "ModP":
+        return self * _inverse(_residue(other))
+
+    def __rtruediv__(self, other) -> "ModP":
+        return _modp(_residue(other) * _inverse(self.v) % MODULUS)
+
+    def __pow__(self, e: int) -> "ModP":
+        if e < 0:
+            raise ValueError("ModP powers take exponents >= 0")
+        return _modp(pow(self.v, e, MODULUS))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (ModP, int, Fraction)):
+            return NotImplemented
+        return self.v == _residue(other)
+
+    def __repr__(self) -> str:
+        return f"ModP({self.v})"
+
+
+def _inverse(v: int) -> int:
+    if v == 0:
+        raise NonUnitError("division by a multiple of the modulus")
+    return pow(v, -1, MODULUS)
 
 
 class SeriesKind(Enum):
@@ -182,10 +281,114 @@ def matrix_rank_fraction_free(rows_in: list[list[Fraction]]) -> int:
     return rank
 
 
+def rank_mod_p(rows_in: list[list]) -> int | None:
+    """Rank over GF(p) of a matrix of ints, Fractions or ModP residues, by
+    Gaussian elimination on word-sized ints; None when an entry has a
+    denominator divisible by p, so the matrix has no reduction."""
+    try:
+        m = [[_residue(x) for x in row] for row in rows_in]
+    except NonUnitError:
+        return None
+    nrows = len(m)
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, nrows) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, MODULUS)
+        prow = [x * inv % MODULUS for x in m[rank]]
+        for r in range(rank + 1, nrows):
+            f = m[r][c]
+            if f != 0:
+                m[r] = [(x - f * y) % MODULUS for x, y in zip(m[r], prow)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def _log_decision(what: str, rows_in: list[list], rank: int, path: str) -> None:
+    if not _log.isEnabledFor(logging.DEBUG):
+        return
+    shape = (len(rows_in), len(rows_in[0]) if rows_in else 0)
+    entries = [x for row in rows_in for x in row]
+    # residues stand for a rational series that was never built
+    bits = None if any(type(x) is ModP for x in entries) else max(
+        (max(x.numerator.bit_length(), x.denominator.bit_length()) for x in entries), default=0)
+    _log.debug("%s %dx%d: rank %d, coefficient bits %s, decided by %s",
+               what, shape[0], shape[1], rank, "-" if bits is None else bits, path,
+               extra={"decision": {"what": what, "shape": shape, "rank": rank,
+                                   "coeff_bits": bits, "path": path}})
+
+
+def matrix_rank(rows_in: list[list]) -> int:
+    """Rank over the field of the entries: Q for Fractions, GF(p) for ModP.
+
+    Rational matrices try the modular certificate first (full rank mod p is
+    full rank over Q) and fall back to Bareiss.  A full rank mod p of a ModP
+    matrix is logged as a decision over Q, since such a matrix is the
+    reduction of a rational one; a deficient one decides nothing.
+    """
+    rank = rank_mod_p(rows_in)
+    if rank == (min(len(rows_in), len(rows_in[0])) if rows_in else 0):
+        _log_decision("rank", rows_in, rank, "modular")
+        return rank
+    if rows_in and type(rows_in[0][0]) is ModP:
+        return rank
+    rank = matrix_rank_fraction_free(rows_in)
+    _log_decision("rank", rows_in, rank, "exact")
+    return rank
+
+
 def hankel_rank(series: NormalizedSeries, row_lo: int, rows: int, cols: int) -> int:
-    """Exact rank of the Hankel block starting at coefficient ``row_lo``."""
+    """Rank of the Hankel block starting at coefficient ``row_lo``, over the
+    field of the series' coefficients (see ``matrix_rank``)."""
     block = hankel_block(series, row_lo, rows, cols)
-    return matrix_rank_fraction_free([list(r) for r in block.entries])
+    return matrix_rank([list(r) for r in block.entries])
+
+
+def nullspace(rows_in: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
+    """Basis of the exact nullspace of the (rows x ncols) rational system.
+
+    Empty without exact elimination when the columns are independent mod p;
+    otherwise Gauss-Jordan over Q.
+    """
+    if rank_mod_p(rows_in) == ncols:
+        _log_decision("nullspace", rows_in, ncols, "modular")
+        return []
+    m = [row[:] for row in rows_in]
+    nrows = len(m)
+    piv_cols: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for rr in range(r, nrows):
+            if m[rr][c] != 0:
+                piv = rr
+                break
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for rr in range(nrows):
+            if rr != r and m[rr][c] != 0:
+                f = m[rr][c]
+                m[rr] = [x - f * y for x, y in zip(m[rr], m[r])]
+        piv_cols.append(c)
+        r += 1
+        if r == nrows:
+            break
+    _log_decision("nullspace", rows_in, r, "exact")
+    basis = []
+    for fc in (c for c in range(ncols) if c not in piv_cols):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(piv_cols):
+            vec[pc] = -m[i][fc]
+        basis.append(vec)
+    return basis
 
 
 def rank_by_minors(rows_in: list[list[Fraction]]) -> int:

@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 from fractions import Fraction as F
 
@@ -15,7 +16,13 @@ from minkbilliards import (
     solve_pell_singular,
     verify_pell,
 )
-from minkbilliards.conditions import double_caustic_test, lightlike_test
+from minkbilliards.conditions import (
+    _certified,
+    _test_A,
+    double_caustic_test,
+    lightlike_test,
+    sqrt_series,
+)
 from minkbilliards.confocal import CausticCase
 from minkbilliards.errors import (
     GammaOutOfRangeError,
@@ -23,6 +30,8 @@ from minkbilliards.errors import (
     UnverifiedInputError,
 )
 from minkbilliards.pell import variant_degrees, weight_polys
+from minkbilliards.search import pell_variants_for
+from minkbilliards.series import MODULUS
 from test_conditions import EXACT_DOUBLE, EXACT_LIGHT, EXACT_N6, EXACT_S1_N4
 
 
@@ -187,3 +196,86 @@ def test_certificate_round_trip():
     back = PellSolution.from_json_dict(doc)
     assert verify_pell(back)
     assert back.p == sol.p and back.q == sol.q and back.rhs == sol.rhs
+
+
+# -- verdict agreement and the modular certificate ---------------------------
+
+# caustic placements on (4,2,1): gamma1 range, gamma2 range
+PLACEMENTS = {
+    CausticCase.S1: ((0.0, 2.0), (-1.0, 0.0)),
+    CausticCase.S2: ((0.0, 2.0), (-6.0, -1.0)),
+    CausticCase.S4: ((2.0, 4.0), (-1.0, 0.0)),
+    CausticCase.T1: ((0.0, 2.0), (2.0, 4.0)),
+}
+
+
+def _pell_solutions(params, case, n):
+    """solve_pell for every variant of the case that is defined at n."""
+    sols = []
+    for variant in pell_variants_for(case, n):
+        try:
+            variant_degrees(variant, n)
+        except ThresholdViolationError:
+            continue
+        sols.append(solve_pell(params, n, variant))
+    return sols
+
+
+def _paths(caplog) -> set[str]:
+    return {r.decision["path"] for r in caplog.records if hasattr(r, "decision")}
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_rationalized_pairs_not_satisfied_modularly(n, caplog):
+    # 1e9-rationalized generic pairs: NOT SATISFIED and no Pell solution,
+    # both decided by full rank mod p without building the exact series
+    rng = random.Random(300 + n)
+    for case, (r1, r2) in PLACEMENTS.items():
+        params = HyperellipticParams.from_floats(4.0, 2.0, 1.0, rng.uniform(*r1), rng.uniform(*r2))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+            verdict = cayley_test(params, case, n)
+            sols = _pell_solutions(params, case, n)
+        assert verdict is False and sols and all(s is None for s in sols)
+        assert verdict == any(s is not None for s in sols)
+        assert _paths(caplog) == {"modular"}
+        assert all(r.decision["coeff_bits"] is None for r in caplog.records)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_satisfied_verdicts_come_from_the_exact_path(n, caplog):
+    with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+        verdict = cayley_test(EXACT_S1_N4, CausticCase.S1, n)
+        sols = _pell_solutions(EXACT_S1_N4, CausticCase.S1, n)
+    assert verdict is True
+    assert verdict == any(s is not None for s in sols)
+    assert all(verify_pell(s) for s in sols if s is not None)
+    assert "exact" in _paths(caplog)
+
+
+def test_satisfied_n6_block_comes_from_the_exact_path(caplog):
+    # EXACT_N6 fits no caustic placement, so its A block is tested directly
+    with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+        deficient = _certified(lambda number: _test_A(sqrt_series(EXACT_N6, 8, number), 3))
+        sol = solve_pell(EXACT_N6, 6, PellVariant.EVEN_A)
+    assert deficient and sol is not None and verify_pell(sol)
+    assert _paths(caplog) == {"exact"}
+
+
+def test_non_unit_parameters_fall_back_to_exact(caplog):
+    # parameters that are multiples of p have no series mod p, and the exact
+    # series then has p in its denominators: only Bareiss and Gauss-Jordan decide
+    params = HyperellipticParams(F(4 * MODULUS), F(2 * MODULUS), F(1), F(MODULUS), F(-1, 2))
+    with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+        assert cayley_test(params, CausticCase.S1, 8) is False
+        assert _pell_solutions(params, CausticCase.S1, 8) == [None, None]
+    assert _paths(caplog) == {"exact"}
+    # gamma1 = 1/p has no reduction either, but the exact series is p-integral
+    # and its blocks are certified mod p
+    params = HyperellipticParams(F(4), F(2), F(1), F(1, MODULUS), F(-1, 2))
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+        assert cayley_test(params, CausticCase.S1, 8) is False
+        assert _pell_solutions(params, CausticCase.S1, 8) == [None, None]
+    assert _paths(caplog) == {"modular"}
+    assert all(r.decision["coeff_bits"] > 61 for r in caplog.records)

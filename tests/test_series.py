@@ -1,21 +1,28 @@
+import logging
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from minkbilliards import HyperellipticParams, condition_vector, sqrt_series
+from minkbilliards import HyperellipticParams, condition_vector, divided_series, sqrt_series
 from minkbilliards.errors import InsufficientOrderError
 from minkbilliards.series import (
+    MODULUS,
+    ModP,
+    NonUnitError,
     NormalizedSeries,
     SeriesKind,
     hankel_block,
     hankel_rank,
+    matrix_rank,
     matrix_rank_fraction_free,
     normalized_branch_poly,
+    nullspace,
     poly_mul_frac,
     rank_by_minors,
+    rank_mod_p,
     series_div,
     series_mul,
     series_sqrt,
@@ -133,3 +140,119 @@ def test_series_sqrt_squares_back_property(tail, order):
     s = series_sqrt(f, order)
     assert all(type(c) is F for c in s)
     assert series_mul(s, s, order) == [f[k] if k < len(f) else 0 for k in range(order + 1)]
+
+
+# -- modular certificate ------------------------------------------------------
+
+_ENTRY = st.fractions(-4, 4, max_denominator=5)
+
+
+@st.composite
+def rational_blocks(draw):
+    """Small rational matrices, half of them products of two thin factors so
+    that deficient ranks are common."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return [[draw(_ENTRY) for _ in range(cols)] for _ in range(rows)]
+    k = draw(st.integers(1, min(rows, cols)))
+    left = [[draw(_ENTRY) for _ in range(k)] for _ in range(rows)]
+    right = [[draw(_ENTRY) for _ in range(cols)] for _ in range(k)]
+    return [[sum((left[i][t] * right[t][j] for t in range(k)), F(0)) for j in range(cols)]
+            for i in range(rows)]
+
+
+@given(rational_blocks())
+def test_certified_rank_matches_bareiss_and_minors(block):
+    rank = matrix_rank(block)
+    assert rank == matrix_rank_fraction_free(block) == rank_by_minors(block)
+    kernel = nullspace(block, len(block[0]))
+    assert len(kernel) == len(block[0]) - rank
+    for vec in kernel:
+        assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in block)
+
+
+def _paths(caplog) -> list[str]:
+    return [r.decision["path"] for r in caplog.records if hasattr(r, "decision")]
+
+
+@pytest.mark.parametrize("block", [
+    [[F(MODULUS), F(1)], [F(0), F(MODULUS)]],   # full rank over Q, rank 1 mod p
+    [[F(1, MODULUS), F(1)], [F(1), F(1)]],      # a denominator divisible by p
+])
+def test_certificate_falls_back_to_exact(block, caplog):
+    with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+        assert matrix_rank(block) == 2
+        assert nullspace(block, 2) == []
+    assert _paths(caplog) == ["exact", "exact"]
+
+
+def test_rank_mod_p_is_rank_of_the_reduction():
+    assert rank_mod_p([[MODULUS, 1], [0, MODULUS]]) == 1
+    assert rank_mod_p([[F(1, 3), F(2, 3)], [F(1), F(2)]]) == 1
+    assert rank_mod_p([[ModP(F(1, 3)), ModP(F(2, 5))], [ModP(1), ModP(0)]]) == 2
+    assert rank_mod_p([[F(1, MODULUS)]]) is None
+
+
+def test_decision_records(caplog):
+    with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+        assert matrix_rank([[F(1), F(2)], [F(3), F(-4, 7)]]) == 2
+        assert matrix_rank([[F(1), F(2)], [F(3), F(6)]]) == 1
+        # a residue block of full rank decides; a deficient one does not
+        assert matrix_rank([[ModP(1), ModP(2)], [ModP(3), ModP(5)]]) == 2
+        assert matrix_rank([[ModP(1), ModP(2)], [ModP(3), ModP(6)]]) == 1
+    decisions = [r.decision for r in caplog.records]
+    assert decisions == [
+        {"what": "rank", "shape": (2, 2), "rank": 2, "coeff_bits": 3, "path": "modular"},
+        {"what": "rank", "shape": (2, 2), "rank": 1, "coeff_bits": 3, "path": "exact"},
+        {"what": "rank", "shape": (2, 2), "rank": 2, "coeff_bits": None, "path": "modular"},
+    ]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+
+
+def test_modp_field_operations():
+    a, b = ModP(F(3, 7)), ModP(-5)
+    assert a * 7 == 3 and 7 * a == F(3)
+    assert (a + b) - b == a and 2 - a == ModP(F(11, 7))
+    assert b / a * a == b and 1 / a == F(7, 3) and -a + a == 0
+    assert a ** 0 == 1 and a ** 2 == F(9, 49) and a != b
+    with pytest.raises(NonUnitError):
+        ModP(F(1, MODULUS))
+    with pytest.raises(NonUnitError):
+        a / ModP(MODULUS)
+    with pytest.raises(NonUnitError):
+        1 / ModP(0)
+    with pytest.raises(TypeError):
+        a + 0.5
+
+
+_POSITIVE = st.fractions(F(1, 20), 20, max_denominator=30)
+_CAUSTIC = st.fractions(-20, 20, max_denominator=30)
+_DIVIDED = {SeriesKind.A: (SeriesKind.B, SeriesKind.C, SeriesKind.D),
+            SeriesKind.DOUBLE_A: (SeriesKind.DOUBLE_B,),
+            SeriesKind.LIGHT_A: (SeriesKind.LIGHT_B,)}
+
+
+@given(_POSITIVE, _POSITIVE, _POSITIVE, _CAUSTIC, _CAUSTIC, st.integers(1, 24))
+def test_modular_series_is_reduction_of_exact(a2, gap, a3, g1, g2, order):
+    a = (a2 + gap, a2, a3)
+    assume(g1 != g2 and all(g not in (a[0], a[1], -a[2], 0) for g in (g1, g2)))
+    for params in (HyperellipticParams(*a, g1, g2), HyperellipticParams(*a, g1, g1),
+                   HyperellipticParams(*a, g1, None)):
+        exact = sqrt_series(params, order)
+        modular = sqrt_series(params, order, ModP)
+        pairs = [(exact, modular)] + [
+            (divided_series(exact, kind, params), divided_series(modular, kind, params))
+            for kind in _DIVIDED[exact.kind]]
+        for e, m in pairs:
+            assert m.kind is e.kind
+            assert all(type(c) is ModP for c in m.coeffs)
+            assert m.coeffs == tuple(ModP(c) for c in e.coeffs)
+
+
+def test_modular_series_rejects_non_units():
+    # gamma1 = p reduces to 0, so the branch factor 1 - x/gamma1 has no reduction
+    params = HyperellipticParams(4, 2, 1, MODULUS, F(-1, 2))
+    with pytest.raises(NonUnitError):
+        sqrt_series(params, 6, ModP)
+    with pytest.raises(NonUnitError):
+        sqrt_series(HyperellipticParams(4, 2, 1, F(1, MODULUS), F(-1, 2)), 6, ModP)
