@@ -3,6 +3,10 @@
 Exit codes: 0 on success / VALID / condition satisfied, 1 on a clean
 NOT-SATISFIED / INVALID outcome, 2 on usage errors (including violated
 preconditions, which are reported with the offending condition).
+
+The search pipeline, and with it numpy, is imported only by the
+``find-periodic`` and ``cross-validate`` commands, so the other commands
+start without it.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ from .confocal import CausticCase, CausticPair, Ellipsoid, classify_case, line_c
 from .errors import BilliardError
 from .minkowski import LineType, Vec3, classify_direction
 from .pell import PellSolution, verify_pell
-from .search import SearchSpec, cross_validate, find_periodic
 from .simulator import detect_period, trace
 
 _LINETYPE_NAMES = {LineType.SPACELIKE: "space-like",
@@ -124,7 +127,9 @@ def _cmd_verify_pell(args) -> int:
     return 0 if ok else 1
 
 
-def _load_search_spec(path: str) -> SearchSpec:
+def _load_search_spec(path: str):
+    from .search import SearchSpec
+
     with open(path, encoding="utf8") as fh:
         d = json.load(fh)
     return SearchSpec(
@@ -139,6 +144,8 @@ def _load_search_spec(path: str) -> SearchSpec:
 
 
 def _cmd_find_periodic(args) -> int:
+    from .search import find_periodic
+
     spec = _load_search_spec(args.spec)
     cands = find_periodic(spec)
     out = [{
@@ -153,6 +160,8 @@ def _cmd_find_periodic(args) -> int:
 
 
 def _cmd_cross_validate(args) -> int:
+    from .search import cross_validate, find_periodic
+
     spec = _load_search_spec(args.spec)
     cands = find_periodic(spec)
     if not cands:

@@ -26,17 +26,18 @@ rare SATISFIED case) or a caustic or ellipsoid parameter is not a p-unit.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-from scipy.integrate import quad
 
 from .confocal import CausticCase, IntervalPartition
 from .errors import (
     CaseMismatchError,
     GammaOutOfRangeError,
     NonpositiveIntegrandError,
+    QuadratureError,
     SingularCurveError,
 )
 from .series import (
@@ -380,6 +381,102 @@ def lightlike_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction, n: 
 
 # -- winding-number integrals -------------------------------------------------
 
+QUAD_ORDER = 16
+QUAD_REL_TOL = 1e-12
+QUAD_MAX_PANELS = 400
+_ROUNDOFF_ULPS = 16
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Each positive node is a Newton root of P_n from the asymptotic guess
+    cos(pi (i - 1/4) / (n + 1/2)), with P_n and P_n' from the three-term
+    recurrence; the weight is 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    if n < 2 or n % 2:
+        raise ValueError("the rule order must be even and at least 2")
+
+    def legendre(x: float) -> tuple[float, float]:
+        p0, p1 = 1.0, x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+    rule = []
+    for i in range(1, n // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p, dp = legendre(x)
+            step = p / dp
+            x -= step
+            if abs(step) <= 1e-16:
+                break
+        _, dp = legendre(x)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+        rule += [(-x, w), (x, w)]
+    return tuple(sorted(rule))
+
+
+def _panel(f, lo: float, hi: float, rule) -> tuple[float, float]:
+    """Gauss-Legendre value of f on [lo, hi] and the sum of |w f| (the
+    scale of its rounding error)."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    total = size = 0.0
+    for t, w in rule:
+        v = w * f(c + h * t)
+        total += v
+        size += abs(v)
+    return h * total, abs(h) * size
+
+
+def adaptive_gauss_legendre(f, lo: float, hi: float, abs_tol: float = 1e-10) -> float:
+    """Integral of f over [lo, hi] by adaptive bisection with a 16-point
+    Gauss-Legendre rule.
+
+    A panel's 16-point value is checked against the 32-point composite value
+    on its two halves.  The panel is accepted when the two agree within its
+    share (width / (hi - lo)) of max(abs_tol, 1e-12 |estimate|), or within
+    a few ulps of the sum of |w f| over its nodes (the rounding floor, which
+    no bisection can beat); otherwise each half is checked the same way,
+    starting from the value just computed for it.  The nodes are interior,
+    so f is never evaluated at lo or hi, but f must be bounded: a panel
+    next to an endpoint singularity never meets its share, so a singular
+    endpoint has to be substituted away first.  Raises ``QuadratureError`` when
+    more than ``QUAD_MAX_PANELS`` panels are bisected or a panel becomes too
+    narrow to split: no unconverged value is returned.
+    """
+    if hi == lo:
+        return 0.0
+    rule = gauss_legendre(QUAD_ORDER)
+    width = hi - lo
+    floor = _ROUNDOFF_ULPS * sys.float_info.epsilon
+    tol = None
+    accepted = []
+    pending = [(lo, hi, _panel(f, lo, hi, rule)[0])]
+    for _ in range(QUAD_MAX_PANELS):
+        a, b, coarse = pending.pop()
+        m = 0.5 * (a + b)
+        if not (a < m < b or a > m > b):
+            raise QuadratureError(f"quadrature on [{lo}, {hi}] did not converge: the "
+                                  f"panel [{a}, {b}] is too narrow to split")
+        left, left_size = _panel(f, a, m, rule)
+        right, right_size = _panel(f, m, b, rule)
+        fine = left + right
+        if tol is None:
+            tol = max(abs_tol, QUAD_REL_TOL * abs(fine))
+        if abs(fine - coarse) <= max(tol * (b - a) / width,
+                                     floor * (left_size + right_size)):
+            accepted.append(fine)
+            if not pending:
+                return math.fsum(accepted)
+        else:
+            pending += [(m, b, right), (a, m, left)]
+    raise QuadratureError(f"quadrature on [{lo}, {hi}] did not converge within "
+                          f"{QUAD_MAX_PANELS} panels")
+
+
 def darboux_integrals(params_real: tuple[float, float, float, float, float | None],
                       partition: IntervalPartition, k: int,
                       abs_tol: float = 1e-10) -> tuple[float, float, float]:
@@ -388,8 +485,14 @@ def darboux_integrals(params_real: tuple[float, float, float, float, float | Non
     Orientations follow the closure relation: I1 runs 0 -> c1 (downward),
     I2 runs 0 -> b1 and I3 runs b2 -> b3 (upward), each on the positive
     branch of sqrt(P); a period with winding counts (m1, n1, n2) then
-    satisfies m1*I1 + n1*I2 - n2*I3 = 0 for k in {0, 1}.  Inverse-square-root
-    endpoint singularities are removed by the substitution lam = r +/- u^2.
+    satisfies m1*I1 + n1*I2 - n2*I3 = 0 for k in {0, 1}.
+
+    Write P(x) = s prod_i (r_i - x) over the branch points r_i.  On the half
+    of an interval next to a branch point r_j the substitution
+    x = r_j +/- u^2 removes the inverse-square-root singularity: the factor
+    (r_j - x) = -/+ u^2 cancels against dx = 2u du, and every other factor is
+    evaluated as (r_i - r_j) -/+ u^2, so no value is lost to cancellation
+    near u = 0.  Each half is integrated by ``adaptive_gauss_legendre``.
     """
     if k not in (0, 1):
         raise ValueError("k must be 0 or 1")
@@ -399,24 +502,54 @@ def darboux_integrals(params_real: tuple[float, float, float, float, float | Non
     if g2 is not None:
         eps = math.copysign(1.0, g1 * g2)
         roots.append(g2)
+    sign = -eps     # P(x) = sign * prod (r - x); the factor (a3 + x) is -(-a3 - x)
 
     def P(x: float) -> float:
-        acc = eps * (a1 - x) * (a2 - x) * (a3 + x) * (g1 - x)
-        if g2 is not None:
-            acc *= (g2 - x)
+        acc = sign
+        for r in roots:
+            acc *= r - x
         return acc
 
-    root_set = roots
+    def branch_index(x: float) -> int | None:
+        for j, r in enumerate(roots):
+            if abs(x - r) <= 1e-13 * max(1.0, abs(r)):
+                return j
+        return None
 
-    def is_root(x: float) -> bool:
-        return any(abs(x - r) <= 1e-13 * max(1.0, abs(r)) for r in root_set)
+    def nonpositive(x: float) -> NonpositiveIntegrandError:
+        return NonpositiveIntegrandError(
+            f"branch polynomial not positive at {x} inside an integration interval")
 
-    def sqrt_p(x: float) -> float:
+    def plain(x: float) -> float:
         px = P(x)
         if px <= 0.0:
-            raise NonpositiveIntegrandError(
-                f"branch polynomial not positive at {x} inside an integration interval")
-        return math.sqrt(px)
+            raise nonpositive(x)
+        return x ** k / math.sqrt(px)
+
+    def substituted(r: float, j: int, side: float):
+        """Integrand in u of x = r + side u^2 with the factor (r_j - x)
+        divided out."""
+        gaps = [ri - r for i, ri in enumerate(roots) if i != j]
+        lead = -side * sign
+
+        def f(u: float) -> float:
+            v = side * u * u
+            acc = lead
+            for d in gaps:
+                acc *= d - v
+            if acc <= 0.0:
+                raise nonpositive(r + v)
+            return 2.0 * (r + v) ** k / math.sqrt(acc)
+        return f
+
+    def half(end: float, mid: float) -> float:
+        """Integral of x^k / sqrt(P) from ``end`` to ``mid``, signed."""
+        j = branch_index(end)
+        if j is None:
+            return adaptive_gauss_legendre(plain, end, mid, abs_tol)
+        side = 1.0 if mid > end else -1.0
+        return side * adaptive_gauss_legendre(substituted(end, j, side), 0.0,
+                                              math.sqrt(abs(mid - end)), abs_tol)
 
     def integrate(lo: float, hi: float) -> float:
         """Integral of x^k/sqrt(P) over [lo, hi] ascending, positive branch."""
@@ -426,28 +559,7 @@ def darboux_integrals(params_real: tuple[float, float, float, float, float | Non
         if P(mid) <= 0.0:
             raise NonpositiveIntegrandError(
                 f"branch polynomial not positive inside [{lo}, {hi}]")
-        total = 0.0
-        # lower half, substitute x = lo + u^2 when lo is a branch point
-        if is_root(lo):
-            du = math.sqrt(mid - lo)
-            val, _ = quad(lambda u: 2.0 * u * (lo + u * u) ** k / sqrt_p(lo + u * u),
-                          0.0, du, epsabs=abs_tol, epsrel=1e-12, limit=200)
-            total += val
-        else:
-            val, _ = quad(lambda x: x ** k / sqrt_p(x), lo, mid,
-                          epsabs=abs_tol, epsrel=1e-12, limit=200)
-            total += val
-        # upper half, substitute x = hi - u^2 when hi is a branch point
-        if is_root(hi):
-            du = math.sqrt(hi - mid)
-            val, _ = quad(lambda u: 2.0 * u * (hi - u * u) ** k / sqrt_p(hi - u * u),
-                          0.0, du, epsabs=abs_tol, epsrel=1e-12, limit=200)
-            total += val
-        else:
-            val, _ = quad(lambda x: x ** k / sqrt_p(x), mid, hi,
-                          epsabs=abs_tol, epsrel=1e-12, limit=200)
-            total += val
-        return total
+        return half(lo, mid) - half(hi, mid)
 
     (c1, _), (_, b1), (b2, b3) = partition.motion_intervals()
     i1 = -integrate(c1, 0.0)     # oriented 0 -> c1

@@ -81,6 +81,10 @@ class NonpositiveIntegrandError(BilliardError):
     """The quintic is not positive inside a requested integration interval."""
 
 
+class QuadratureError(BilliardError):
+    """Adaptive quadrature reached its panel cap before converging."""
+
+
 # -- Pell -------------------------------------------------------------------
 
 class ThresholdViolationError(BilliardError):

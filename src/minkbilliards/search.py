@@ -19,7 +19,7 @@ call; Newton refinement, the 1-D bisection and cross-validation pass floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,7 +165,11 @@ def find_periodic(spec: SearchSpec) -> list[PeriodicCandidate]:
     ell = Ellipsoid(*spec.ellipsoid)
     case, n = spec.case, spec.n
     if case not in _CASE_RECTS:
-        raise EmptyRangeError(f"case {case.value} has no search rectangle")
+        raise EmptyRangeError(
+            f"case {case.value} has no search rectangle: with the ellipsoid fixed its "
+            "periodicity conditions are two equations in the one unknown gamma1, so "
+            "roots are non-generic; scan gamma1 with search.scan_singular_condition "
+            "and check the second coefficient at each root")
     kind = _search_kind(case, n)
     if kind is None:
         return []    # parity exclusion: no odd periods in this case
@@ -448,7 +452,19 @@ class ValidationReport:
     parity_pass: bool
     darboux_residuals: tuple[float, float]
     chasles_residual: float
-    failure_stage: str | None = None
+    failures: list[tuple[str, str]] = field(default_factory=list)
+
+    def fail(self, stage: str, error) -> None:
+        """Record that ``stage`` failed with ``error``."""
+        self.failures.append((stage, str(error)))
+
+    @property
+    def failure_stage(self) -> str | None:
+        """The last failure as "stage: error", or None when nothing failed."""
+        if not self.failures:
+            return None
+        stage, error = self.failures[-1]
+        return f"{stage}: {error}"
 
     @property
     def valid(self) -> bool:
@@ -479,6 +495,7 @@ class ValidationReport:
             "chasles_residual": self.chasles_residual,
             "valid": self.valid,
             "failure_stage": self.failure_stage,
+            "failures": [{"stage": stage, "error": error} for stage, error in self.failures],
         }
 
 
@@ -517,14 +534,14 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
     try:
         report.cayley_pass = cayley_test(params, case, n)
     except (BilliardError, ValueError) as exc:
-        report.failure_stage = f"cayley: {exc}"
+        report.fail("cayley", exc)
     try:
         kind = _search_kind(case, n)
         if kind is not None:
             f1, f2 = condition_vector((ell.a1, ell.a2, ell.a3), kind, n, cp.gamma1, g2)
             report.condition_residual = abs(f1) + abs(f2)
     except (BilliardError, ValueError, ZeroDivisionError) as exc:
-        report.failure_stage = f"condition: {exc}"
+        report.fail("condition", exc)
     for variant in pell_variants_for(case, n):
         try:
             sol = solve_pell(params, n, variant)
@@ -542,11 +559,11 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
         try:
             x, v = tangent_line_for_caustics(ell, cp, seed=k)
         except NoConvergenceError as exc:
-            report.failure_stage = f"tangent line: {exc}"
+            report.fail("tangent line", exc)
             continue
         traj = trace(x, v, ell, max_bounces=2 * n + 5)
         if traj.error is not None:
-            report.failure_stage = f"trace: {traj.error}"
+            report.fail("trace", traj.error)
             continue
         closures.append(closure_error_at(traj, n))
         chasles.append(chasles_residual(traj))
@@ -578,7 +595,7 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
                 sig = PeriodSignature(sig.n, sig.m1, sig.n1, n2)
                 report.signature = sig
             except BilliardError as exc:
-                report.failure_stage = f"darboux: {exc}"
+                report.fail("darboux", exc)
         residuals = []
         for k in (0, 1):
             try:
@@ -588,6 +605,6 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
                 residuals.append(abs(sig.m1 * i1 + sig.n1 * i2 - sig.n2 * i3) / scale)
             except BilliardError as exc:
                 residuals.append(math.inf)
-                report.failure_stage = f"darboux: {exc}"
+                report.fail("darboux", exc)
         report.darboux_residuals = (residuals[0], residuals[1])
     return report

@@ -34,8 +34,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InsufficientOrderError, ZeroGammaError
 
 _log = logging.getLogger(__name__)
@@ -159,12 +157,19 @@ def poly_mul_frac(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     return out
 
 
+def _not_one(c) -> bool:
+    """True when the constant term c differs from 1 anywhere: an array of
+    grid values answers through ``.any()``, a scalar through ``bool``."""
+    ne = c != 1
+    return bool(ne.any()) if hasattr(ne, "any") else bool(ne)
+
+
 def series_sqrt(f: list[Fraction], order: int) -> list[Fraction]:
     """Coefficients of sqrt(f) through the given order; requires f[0] = 1.
 
     Recurrence from squaring: 2 s_k = f_k - sum_{i=1}^{k-1} s_i s_{k-i}.
     """
-    if not f or np.any(f[0] != 1):
+    if not f or _not_one(f[0]):
         raise ValueError("series_sqrt requires constant term 1")
     zero = f[0] - f[0]
     s = [f[0]] + [zero] * order
@@ -177,7 +182,7 @@ def series_sqrt(f: list[Fraction], order: int) -> list[Fraction]:
 
 def series_div(a: list[Fraction], d: list[Fraction], order: int) -> list[Fraction]:
     """Series quotient a / d through the given order; requires d[0] = 1."""
-    if not d or np.any(d[0] != 1):
+    if not d or _not_one(d[0]):
         raise ValueError("series_div requires divisor constant term 1")
     zero = a[0] - a[0]
     out = [zero] * (order + 1)

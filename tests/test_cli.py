@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import minkbilliards
 from minkbilliards.cli import main
 
 
@@ -151,3 +158,42 @@ def test_trace_rejects_bad_input(capsys):
     code, out, _ = run(capsys, "trace", "--ellipsoid", "4,2,1",
                        "--point", "0.1,0.2,0.05", "--dir", "1,0.3,0.2", "--bounces", "0")
     assert code == 0 and json.loads(out)["bounces"] == []
+
+
+def _modules_after(code: str) -> set[str]:
+    """Heavy modules loaded by a fresh interpreter after running ``code``."""
+    src = str(Path(minkbilliards.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    probe = code + "\nimport sys\nprint('loaded:', *(m for m in ('numpy', 'scipy') if m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    last = done.stdout.splitlines()[-1].split()
+    assert last[0] == "loaded:"
+    return set(last[1:])
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    assert _modules_after("import minkbilliards.cli") == set()
+
+
+def test_non_search_commands_leave_numpy_unloaded():
+    code = ("from minkbilliards.cli import main\n"
+            "assert main(['check-cayley', '--params', '1,6/7,6,3/4,-3', '--case', 'S1',"
+            " '--n', '4']) == 0\n"
+            "assert main(['trace', '--ellipsoid', '4,2,1', '--point', '0.1,0.2,0.05',"
+            " '--dir', '1,0.3,0.2', '--bounces', '20']) == 0\n")
+    assert _modules_after(code) == set()
+
+
+def test_search_commands_load_numpy():
+    # the control for the two tests above: the probe does see numpy
+    assert "numpy" in _modules_after("import minkbilliards\nminkbilliards.find_periodic")
+
+
+def test_lazy_package_namespace():
+    for name in minkbilliards.__all__:
+        assert getattr(minkbilliards, name) is not None
+    assert set(minkbilliards.__all__) <= set(dir(minkbilliards))
+    with pytest.raises(AttributeError):
+        minkbilliards.no_such_name

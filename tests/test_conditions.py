@@ -19,10 +19,13 @@ from minkbilliards import (
     rationalize,
     sqrt_series,
 )
+from minkbilliards.conditions import adaptive_gauss_legendre, gauss_legendre
 from minkbilliards.errors import (
+    BilliardError,
     CaseMismatchError,
     GammaOutOfRangeError,
     NonpositiveIntegrandError,
+    QuadratureError,
     SingularCurveError,
 )
 from minkbilliards.series import SeriesKind, series_mul
@@ -235,3 +238,58 @@ def test_darboux_wrong_interval_raises(e421):
     with pytest.raises(NonpositiveIntegrandError):
         # flipped sign of the caustic product makes P negative inside
         darboux_integrals((4, 2, 1, 1.0, 0.5), part, 0)
+
+
+# mpmath references (40 digits) on the ellipsoid (4,2,1): another branch
+# point 1e-6 outside an interval end, or a caustic 1e-6 from an ellipsoid
+# axis.  scipy's quad raised NonpositiveIntegrandError on the last row.
+DARBOUX_REFERENCES = [
+    ((3.998, -1.0000000000287557e-06), LineType.SPACELIKE, 0,
+     (-3.5364181209077616e-04, 0.7910951565848997, 0.49696544744725385)),
+    ((2e-06, 3.0), LineType.TIMELIKE, 1,
+     (0.22677669359442432, 7.698004102402782e-10, 2.216472545868755)),
+    ((0.002, -0.999999), LineType.SPACELIKE, 0,
+     (-4.418529751662524, 0.03159649216047266, 0.4895522210558987)),
+    ((1.999998, 2.002), LineType.TIMELIKE, 0,
+     (-0.21983011108842798, 87.74805641794387, 88.3545686138169)),
+]
+
+
+@pytest.mark.parametrize("gammas,linetype,k,expected", DARBOUX_REFERENCES)
+def test_darboux_near_branch_points_matches_mpmath(e421, gammas, linetype, k, expected):
+    g1, g2 = gammas
+    eps = -1 if linetype is LineType.SPACELIKE else +1
+    part = interval_partition(CausticPair(g1, g2, linetype, eps), e421)
+    got = darboux_integrals((4.0, 2.0, 1.0, g1, g2), part, k)
+    for value, ref in zip(got, expected):
+        assert abs(value - ref) <= 1e-12 * abs(ref)
+
+
+def test_gauss_legendre_rule():
+    for n in (2, 16, 32):
+        rule = gauss_legendre(n)
+        assert len(rule) == n
+        assert abs(math.fsum(w for _, w in rule) - 2.0) <= 1e-14
+        # exact for polynomials of degree 2n - 1
+        for deg in range(2 * n):
+            got = math.fsum(w * x ** deg for x, w in rule)
+            assert abs(got - (2.0 / (deg + 1) if deg % 2 == 0 else 0.0)) <= 1e-14
+    with pytest.raises(ValueError):
+        gauss_legendre(15)
+
+
+def test_adaptive_gauss_legendre_converges_and_orients():
+    assert abs(adaptive_gauss_legendre(math.exp, 0.0, 1.0) - (math.e - 1.0)) <= 1e-15
+    # reversed limits change the sign
+    assert abs(adaptive_gauss_legendre(math.exp, 1.0, 0.0) + (math.e - 1.0)) <= 1e-15
+    # a singularity 1e-9 outside the interval is resolved by bisection
+    exact = 2.0 * (math.sqrt(1.0 + 1e-9) - math.sqrt(1e-9))
+    got = adaptive_gauss_legendre(lambda x: 1.0 / math.sqrt(x + 1e-9), 0.0, 1.0)
+    assert abs(got - exact) <= 1e-14 * exact
+
+
+def test_adaptive_gauss_legendre_panel_cap_raises():
+    # 1/x is not integrable on [0, 1]: the panel next to 0 never converges
+    with pytest.raises(QuadratureError, match="did not converge"):
+        adaptive_gauss_legendre(lambda x: 1.0 / x, 0.0, 1.0)
+    assert issubclass(QuadratureError, BilliardError)

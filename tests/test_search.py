@@ -232,3 +232,36 @@ def test_cross_validate_reports_condition_stage(e421):
     assert rep.condition_residual == float("inf")
     assert rep.failure_stage is not None and rep.failure_stage.startswith("condition: ")
     assert not rep.valid
+
+
+def test_cross_validate_keeps_every_failed_stage(e421):
+    # below the period thresholds both the exact test and the float
+    # condition search reject n=2: the report keeps both failures in order,
+    # and failure_stage is still the last of them
+    cp = CausticPair(1.0, -0.5, LineType.SPACELIKE, -1)
+    rep = cross_validate(e421, cp, 2)
+    assert [stage for stage, _ in rep.failures] == ["cayley", "condition"]
+    assert rep.failures[0][1] == "period must be at least 3"
+    assert rep.failure_stage == "condition: " + rep.failures[1][1]
+    doc = rep.to_json_dict()
+    assert doc["failures"] == [{"stage": s, "error": e} for s, e in rep.failures]
+    assert doc["failure_stage"] == rep.failure_stage
+    assert not rep.valid
+
+
+def test_cross_validate_without_failures(e421):
+    ell = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
+    rep = cross_validate(ell, CausticPair(0.75, -3.0, LineType.SPACELIKE, -1), 4)
+    assert rep.failures == [] and rep.failure_stage is None
+    assert rep.to_json_dict()["failures"] == []
+
+
+@pytest.mark.parametrize("case", [CausticCase.DOUBLE, CausticCase.LIGHT])
+def test_find_periodic_degenerate_cases_explain_missing_rectangle(case):
+    spec = SearchSpec((4.0, 2.0, 1.0), case, 4 if case is CausticCase.DOUBLE else 6, grid=8)
+    with pytest.raises(EmptyRangeError) as info:
+        find_periodic(spec)
+    msg = str(info.value)
+    assert f"case {case.value} has no search rectangle" in msg
+    assert "one unknown gamma1" in msg and "non-generic" in msg
+    assert "scan_singular_condition" in msg

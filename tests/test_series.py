@@ -56,6 +56,20 @@ def test_series_div_inverse():
         assert back[k] == expect
 
 
+def test_constant_term_guards_on_every_number_type():
+    import numpy as np
+
+    for one in (F(1), 1.0, ModP(1), np.ones(3)):
+        assert np.all(series_sqrt([one, one - one + 2], 2)[1] == 1)
+        assert np.all(series_div([one, one], [one, one - one], 2)[0] == 1)
+    # a grid with one cell whose constant term is not 1 is rejected as a whole
+    for bad in (F(2), 2.0, ModP(2), np.array([1.0, 2.0, 1.0])):
+        with pytest.raises(ValueError):
+            series_sqrt([bad, bad], 2)
+        with pytest.raises(ValueError):
+            series_div([bad, bad], [bad, bad], 2)
+
+
 def test_hankel_block_structure():
     coeffs = tuple(F(k * k + 1) for k in range(12))
     s = NormalizedSeries(SeriesKind.A, coeffs)
