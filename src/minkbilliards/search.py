@@ -13,11 +13,19 @@ residual that the validation report uses instead.
 The conditions have one evaluator, ``conditions.condition_vector``: the exact
 engine's series kernel run on other number types.  The grid scan passes
 numpy arrays of caustic parameters and evaluates every grid point in one
-call; Newton refinement, the 1-D bisection and cross-validation pass floats.
+call.  Newton refinement runs every seed in lock-step (``_newton_batch``):
+per iteration one array call on the forward-difference points of all live
+seeds and one on all 40 step lengths of their damped steps, and each seed
+ends at the same point, bit for bit, as the loop run on it alone.  The 1-D
+bisection, candidate residuals and cross-validation pass floats.  Each
+scanned search logs one DEBUG record on this module's logger, with a
+``search`` attribute counting grid cells, seeds, Newton outcomes and
+rejected roots.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -35,7 +43,7 @@ from .confocal import (
     point_from_elliptic,
     tangency_coefficients,
 )
-from .errors import BilliardError, EmptyRangeError, NoConvergenceError
+from .errors import BilliardError, EmptyRangeError, NoConvergenceError, ThresholdViolationError
 from .minkowski import Vec3, mink_dot
 from .pell import PellSolution, PellVariant, solve_pell, verify_pell
 from .series import SeriesKind
@@ -50,6 +58,8 @@ from .simulator import (
 
 SEARCH_RESIDUAL_TOL = 1e-9
 CLOSURE_TOL = 1e-6
+
+_log = logging.getLogger(__name__)
 
 
 condition_vector_floats = condition_vector
@@ -120,47 +130,95 @@ class PeriodicCandidate:
     exact_cayley: bool
 
 
-def _newton2(func, x0, tol, itmax=60):
-    x = np.array(x0, dtype=float)
-    fx = np.array(func(x))
-    for _ in range(itmax):
-        if np.max(np.abs(fx)) < tol:
-            return x, True
-        h = 1e-7
-        jac = np.zeros((2, 2))
-        for j in range(2):
-            xp = x.copy()
-            xp[j] += h * max(1.0, abs(x[j]))
-            jac[:, j] = (np.array(func(xp)) - fx) / (h * max(1.0, abs(x[j])))
-        try:
-            dx = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
-            return x, False
-        lam = 1.0
-        improved = False
-        for _ in range(40):
-            xn = x + lam * dx
-            try:
-                fn = np.array(func(xn))
-            except (BilliardError, FloatingPointError, ValueError, ZeroDivisionError):
-                lam *= 0.5
-                continue
-            if np.max(np.abs(fn)) < np.max(np.abs(fx)):
-                x, fx = xn, fn
-                improved = True
+# per-seed outcomes of _newton_batch; only CONVERGED seeds are roots
+CONVERGED, STALLED, SINGULAR, CAPPED = range(4)
+_OUTCOME_NAMES = ("converged", "stalled", "singular", "iteration_cap")
+_STEP_LENGTHS = np.array([0.5 ** k for k in range(40)])    # exact powers of two
+
+
+def _newton_batch(func, seeds, tol: float, itmax: int = 60):
+    """Damped Newton on F: R^2 -> R^2 from every seed at once.
+
+    ``func`` maps a (k, 2) array of points to a (k, 2) array of values.
+    Each iteration makes two calls for all live seeds: one on the
+    forward-difference points of their Jacobians, one on all 40 step lengths
+    1, 1/2, ..., 2^-39 of their Newton steps, of which the first that lowers
+    max|f| wins.  The kernel acts element by element, so every seed follows
+    the iterates of the same loop run on that seed alone, bit for bit.
+    ``func`` returns nan or inf outside its domain instead of raising; a
+    non-finite value fails the descent test.
+    Returns the final points and an outcome per seed: CONVERGED (max|f| <
+    tol), STALLED (no step length descends), SINGULAR (the Jacobian solve
+    failed) or CAPPED (still above tol after ``itmax`` iterations).
+    """
+    x = np.array(seeds, dtype=float).reshape(-1, 2)
+    outcome = np.full(len(x), CAPPED)
+    if not len(x):
+        return x, outcome
+    with np.errstate(all="ignore"):
+        fx = func(x)
+        mx = np.max(np.abs(fx), axis=1)
+        live = np.ones(len(x), dtype=bool)
+        for _ in range(itmax):
+            done = live & (mx < tol)
+            outcome[done] = CONVERGED
+            live &= ~done
+            idx = np.flatnonzero(live)
+            if not idx.size:
                 break
-            lam *= 0.5
-        if not improved:
-            return x, np.max(np.abs(fx)) < tol
-    return x, np.max(np.abs(fx)) < tol
+            xl, fl = x[idx], fx[idx]
+            step = 1e-7 * np.maximum(1.0, np.abs(xl))
+            # row j of xp[s] moves coordinate j of seed s by its step
+            xp = np.repeat(xl[:, None, :], 2, axis=1)
+            xp[:, 0, 0] += step[:, 0]
+            xp[:, 1, 1] += step[:, 1]
+            fp = func(xp.reshape(-1, 2)).reshape(-1, 2, 2)
+            jac = ((fp - fl[:, None, :]) / step[:, :, None]).transpose(0, 2, 1)
+            dx, singular = _solve2(jac, -fl)
+            outcome[idx[singular]] = SINGULAR
+            live[idx[singular]] = False
+            idx, xl, dx = idx[~singular], xl[~singular], dx[~singular]
+            if not idx.size:
+                break
+            xn = xl[:, None, :] + _STEP_LENGTHS[None, :, None] * dx[:, None, :]
+            fn = func(xn.reshape(-1, 2)).reshape(len(idx), len(_STEP_LENGTHS), 2)
+            mn = np.max(np.abs(fn), axis=2)
+            better = mn < mx[idx, None]
+            won = better.any(axis=1)
+            outcome[idx[~won]] = STALLED
+            live[idx[~won]] = False
+            first = better.argmax(axis=1)[won]
+            idx = idx[won]
+            x[idx], fx[idx], mx[idx] = xn[won, first], fn[won, first], mn[won, first]
+    outcome[live & (mx < tol)] = CONVERGED
+    return x, outcome
+
+
+def _solve2(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve every 2x2 system jac[s] dx = rhs[s]; a singular system leaves a
+    zero row and sets its flag.  The batched solve runs LAPACK per matrix,
+    so its rows equal single solves, which are needed only when one raises."""
+    singular = np.zeros(len(jac), dtype=bool)
+    try:
+        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        pass
+    dx = np.zeros_like(rhs)
+    for s in range(len(jac)):
+        try:
+            dx[s] = np.linalg.solve(jac[s], rhs[s])
+        except np.linalg.LinAlgError:
+            singular[s] = True
+    return dx, singular
 
 
 def find_periodic(spec: SearchSpec) -> list[PeriodicCandidate]:
     """Locate roots of the periodicity conditions inside the case rectangle.
 
     Grid scan of |f1| + |f2| followed by damped Newton on the pair from the
-    most promising cells; converged roots are deduplicated, checked for case
-    placement, rationalized, and re-checked with the exact rank test.
+    most promising cells, all seeds in one batch; converged roots are
+    deduplicated, checked for case placement, rationalized, and re-checked
+    with the exact rank test.  A scanned search logs its counts at DEBUG.
     """
     ell = Ellipsoid(*spec.ellipsoid)
     case, n = spec.case, spec.n
@@ -197,42 +255,53 @@ def find_periodic(spec: SearchSpec) -> list[PeriodicCandidate]:
     seeds = [(float(g1s[i]), float(g2s[i])) for i in order[: max(12, spec.grid // 2)]
              if math.isfinite(vals[i])]
 
-    return _refine_candidates(spec, kind, (g1lo, g1hi), (g2lo, g2hi), seeds)
+    cands, counts = _refine_candidates(spec, kind, (g1lo, g1hi), (g2lo, g2hi), seeds)
+    if _log.isEnabledFor(logging.DEBUG):
+        stats = {"kind": kind.value, "grid_points": int(vals.size),
+                 "nonfinite": int(np.count_nonzero(np.isinf(vals))),
+                 "seeds": len(seeds), **counts, "candidates": len(cands)}
+        _log.debug("find_periodic %s n=%d: %s", case.value, n, stats, extra={"search": stats})
+    return cands
 
 
 def _refine_candidates(spec: SearchSpec, kind: SeriesKind,
                        g1b: tuple[float, float], g2b: tuple[float, float],
-                       seeds: list[tuple[float, float]]) -> list[PeriodicCandidate]:
+                       seeds: list[tuple[float, float]]
+                       ) -> tuple[list[PeriodicCandidate], dict[str, int]]:
+    """Refine every seed in one Newton batch and keep the distinct converged
+    roots inside the rectangle, in seed order, as sorted candidates; the
+    counts say what became of the seeds."""
     a = spec.ellipsoid
     case, n = spec.case, spec.n
     g1lo, g1hi = g1b
     g2lo, g2hi = g2b
 
-    def fun(x):
-        return condition_vector(a, kind, n, float(x[0]), float(x[1]))
+    def fun(pts: np.ndarray) -> np.ndarray:
+        return np.column_stack(condition_vector(a, kind, n, pts[:, 0], pts[:, 1]))
 
+    xs, outcome = _newton_batch(fun, seeds, spec.refine_tol)
+    counts = {name: int(np.count_nonzero(outcome == code))
+              for code, name in enumerate(_OUTCOME_NAMES)}
+    counts.update(outside=0, duplicates=0)
     roots: list[tuple[float, float]] = []
-    for seed in seeds:
-        x, ok = _newton2(fun, seed, spec.refine_tol)
-        if not ok:
-            continue
-        g1, g2 = float(x[0]), float(x[1])
+    for (g1, g2) in xs[outcome == CONVERGED].tolist():
         if not (g1lo < g1 < g1hi and g2lo < g2 < g2hi):
-            continue
-        if any(abs(g1 - r1) < 1e-9 and abs(g2 - r2) < 1e-9 for (r1, r2) in roots):
-            continue
-        roots.append((g1, g2))
+            counts["outside"] += 1
+        elif any(abs(g1 - r1) < 1e-9 and abs(g2 - r2) < 1e-9 for (r1, r2) in roots):
+            counts["duplicates"] += 1
+        else:
+            roots.append((g1, g2))
 
     out = []
     for (g1, g2) in sorted(roots):
-        f1, f2 = fun((g1, g2))
+        f1, f2 = condition_vector(a, kind, n, g1, g2)
         params = HyperellipticParams.from_floats(*a, g1, g2)
         try:
             exact = cayley_test(params, case, n)
         except (BilliardError, ValueError):
             exact = False
         out.append(PeriodicCandidate(g1, g2, case, n, abs(f1) + abs(f2), params, exact))
-    return out
+    return out, counts
 
 
 def scan_singular_condition(a: tuple[float, float, float], case: CausticCase, n: int,
@@ -545,7 +614,10 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
     for variant in pell_variants_for(case, n):
         try:
             sol = solve_pell(params, n, variant)
-        except (BilliardError, ValueError):
+        except ThresholdViolationError:
+            continue    # the variant does not apply at this n (evenA at n=4)
+        except (BilliardError, ValueError) as exc:
+            report.fail("pell", f"{variant.value}: {exc}")
             continue
         if sol is not None and verify_pell(sol):
             report.pell_certificate = sol

@@ -175,7 +175,11 @@ def series_sqrt(f: list[Fraction], order: int) -> list[Fraction]:
     s = [f[0]] + [zero] * order
     for k in range(1, order + 1):
         fk = f[k] if k < len(f) else zero
-        acc = sum((s[i] * s[k - i] for i in range(1, k)), zero)
+        # an explicit loop, not sum(): from Python 3.12 sum() of floats is
+        # compensated, which would round scalars and arrays differently
+        acc = zero
+        for i in range(1, k):
+            acc = acc + s[i] * s[k - i]
         s[k] = (fk - acc) / 2
     return s
 

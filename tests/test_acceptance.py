@@ -9,6 +9,8 @@ import random
 import time
 from fractions import Fraction as F
 
+import numpy as np
+
 from minkbilliards import (
     CausticCase,
     CausticPair,
@@ -40,9 +42,10 @@ from minkbilliards import (
 from minkbilliards.errors import DegeneratePointError, UndefinedReflectionError
 from minkbilliards.pell import weight_polys
 from minkbilliards.search import (
+    CONVERGED,
     condition_vector_floats,
     scan_singular_condition,
-    _newton2,
+    _newton_batch,
 )
 from minkbilliards.series import (
     SeriesKind,
@@ -303,12 +306,14 @@ def test_criterion_10_lightlike_limit():
         for g in [0.02 + k * 1.96 / 599 for k in range(600)])
 
     # the roots exist on taller shapes: refine one and validate the closure
-    def fun(x):
-        return condition_vector_floats((3.0, 2.5, float(x[1])), SeriesKind.LIGHT_B, 5,
-                                       float(x[0]), None)
+    def fun(pts):
+        # points are (gamma1, a3) rows
+        return np.column_stack(condition_vector_floats(
+            (3.0, 2.5, pts[:, 1]), SeriesKind.LIGHT_B, 5, pts[:, 0], None))
 
-    x, ok = _newton2(fun, (2.3, 4.5), 1e-13)
-    g1, a3 = float(x[0]), float(x[1])
+    xs, outcome = _newton_batch(fun, [(2.3, 4.5)], 1e-13)
+    ok = outcome[0] == CONVERGED
+    g1, a3 = float(xs[0, 0]), float(xs[0, 1])
     ell = Ellipsoid(3.0, 2.5, a3)
     cp = CausticPair(g1, None, LineType.LIGHTLIKE, +1)
     rep = cross_validate(ell, cp, 5)

@@ -1,3 +1,4 @@
+import logging
 import random
 
 import numpy as np
@@ -16,7 +17,7 @@ from minkbilliards import (
     tangent_line_for_caustics,
 )
 from minkbilliards import search
-from minkbilliards.errors import BilliardError, EmptyRangeError
+from minkbilliards.errors import BilliardError, EmptyRangeError, ThresholdViolationError
 from minkbilliards.search import (
     closure_error_at,
     condition_vector_floats,
@@ -187,7 +188,8 @@ def test_scan_singular_double_bracket():
 def test_grid_scan_matches_pointwise(monkeypatch):
     # the whole-grid array evaluation inside find_periodic against the same
     # kernel run point by point on Python floats: same finite cells, same
-    # values, same seed order, same candidates
+    # values, same seed order, same candidates; the pointwise evaluator also
+    # serves the batched Newton calls
     spec = SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, 4, grid=32)
     base = find_periodic(spec)
     grids = []
@@ -208,7 +210,7 @@ def test_grid_scan_matches_pointwise(monkeypatch):
 
     monkeypatch.setattr(search, "condition_vector", pointwise)
     scalar = find_periodic(spec)
-    assert len(grids) == 1
+    # the first array call is the grid; the later ones are Newton's
     arr, out = grids[0]
     assert arr.shape == out.shape == (2, spec.grid ** 2)
     finite = np.isfinite(arr).all(axis=0)
@@ -265,3 +267,143 @@ def test_find_periodic_degenerate_cases_explain_missing_rectangle(case):
     assert f"case {case.value} has no search rectangle" in msg
     assert "one unknown gamma1" in msg and "non-generic" in msg
     assert "scan_singular_condition" in msg
+
+
+def _reference_newton(func, x0, tol, itmax=60):
+    """The per-seed damped Newton loop that _newton_batch replaces, run on
+    one-row arrays of ``func`` so its arithmetic is the batch's own."""
+    def f(x):
+        with np.errstate(all="ignore"):
+            return func(x[None, :])[0]
+
+    x = np.array(x0, dtype=float)
+    fx = f(x)
+    for _ in range(itmax):
+        if np.max(np.abs(fx)) < tol:
+            return x, True
+        h = 1e-7
+        jac = np.zeros((2, 2))
+        for j in range(2):
+            xp = x.copy()
+            xp[j] += h * max(1.0, abs(x[j]))
+            jac[:, j] = (f(xp) - fx) / (h * max(1.0, abs(x[j])))
+        try:
+            dx = np.linalg.solve(jac, -fx)
+        except np.linalg.LinAlgError:
+            return x, False
+        lam = 1.0
+        improved = False
+        for _ in range(40):
+            xn = x + lam * dx
+            fn = f(xn)
+            if np.max(np.abs(fn)) < np.max(np.abs(fx)):
+                x, fx = xn, fn
+                improved = True
+                break
+            lam *= 0.5
+        if not improved:
+            return x, np.max(np.abs(fx)) < tol
+    return x, np.max(np.abs(fx)) < tol
+
+
+def _assert_matches_reference(func, seeds, tol):
+    xs, outcome = search._newton_batch(func, seeds, tol)
+    assert xs.shape == (len(seeds), 2) and outcome.shape == (len(seeds),)
+    for seed, x, out in zip(seeds, xs, outcome):
+        ref_x, ref_ok = _reference_newton(func, seed, tol)
+        assert ref_x.tobytes() == x.tobytes(), (seed, ref_x, x)
+        assert bool(ref_ok) == (out == search.CONVERGED), (seed, ref_ok, out)
+    return xs, outcome
+
+
+@pytest.mark.parametrize("case,n", [(CausticCase.S1, 4), (CausticCase.T3, 4),
+                                    (CausticCase.T1, 5), (CausticCase.T1, 6)])
+def test_newton_batch_matches_per_seed_loop(monkeypatch, case, n):
+    # every seed of find_periodic's batch ends at the per-seed loop's point,
+    # bit for bit, with the same converged flag
+    calls = []
+    newton_batch = search._newton_batch
+
+    def recording(func, seeds, tol, itmax=60):
+        calls.append((func, seeds, tol))
+        return newton_batch(func, seeds, tol, itmax)
+
+    monkeypatch.setattr(search, "_newton_batch", recording)
+    find_periodic(SearchSpec((4.0, 2.0, 1.0), case, n, grid=32))
+    [(func, seeds, tol)] = calls
+    assert len(seeds) == 16
+    monkeypatch.setattr(search, "_newton_batch", newton_batch)
+    _assert_matches_reference(func, seeds, tol)
+
+
+def test_newton_batch_empty_seed_list():
+    def never(pts):
+        raise AssertionError("no seed, no evaluation")
+
+    xs, outcome = search._newton_batch(never, [], 1e-13)
+    assert xs.shape == (0, 2) and outcome.shape == (0,)
+    spec = SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, 4, grid=8)
+    cands, counts = search._refine_candidates(spec, SeriesKind.B, (0.0, 2.0), (-1.0, 0.0), [])
+    assert cands == [] and set(counts.values()) == {0}
+
+
+def test_newton_batch_singular_jacobian_stops_seed():
+    # the second seed's Jacobian has two equal rows, so its solve raises
+    # and it stops where it started; the first seed still converges
+    def func(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.column_stack((x - 1.0, np.where(y > 0.0, y - 2.0, x - 1.0)))
+
+    seeds = [(0.5, 1.0), (0.5, -1.0)]
+    xs, outcome = _assert_matches_reference(func, seeds, 1e-13)
+    assert outcome.tolist() == [search.CONVERGED, search.SINGULAR]
+    assert xs[0].tolist() == [1.0, 2.0] and xs[1].tolist() == [0.5, -1.0]
+
+
+def test_newton_batch_stalls_at_nan_boundary():
+    # the root (3, 1) lies where the function is nan: every step length
+    # that crosses x = 2 fails the descent test, the seed creeps up to the
+    # boundary and stalls there, not converged
+    def func(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        inside = x < 2.0
+        return np.column_stack((np.where(inside, x - 3.0, np.nan),
+                                np.where(inside, y - 1.0, np.nan)))
+
+    xs, outcome = _assert_matches_reference(func, [(1.5, 0.5)], 1e-13)
+    assert outcome.tolist() == [search.STALLED]
+    assert 1.999 < xs[0, 0] < 2.0
+
+
+def test_find_periodic_debug_record(caplog):
+    spec = SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, 4, grid=32)
+    with caplog.at_level(logging.DEBUG, logger="minkbilliards.search"):
+        cands = find_periodic(spec)
+        assert find_periodic(SearchSpec((4.0, 2.0, 1.0), CausticCase.S3, 5, grid=8)) == []
+    [record] = [r for r in caplog.records if r.name == "minkbilliards.search"]
+    assert record.levelno == logging.DEBUG
+    stats = record.search
+    assert list(stats) == ["kind", "grid_points", "nonfinite", "seeds", "converged",
+                           "stalled", "singular", "iteration_cap", "outside",
+                           "duplicates", "candidates"]
+    assert stats["kind"] == "B" and stats["grid_points"] == 32 ** 2
+    assert stats["seeds"] == 16 == (stats["converged"] + stats["stalled"]
+                                    + stats["singular"] + stats["iteration_cap"])
+    assert stats["converged"] == stats["outside"] + stats["duplicates"] + stats["candidates"]
+    assert stats["candidates"] == len(cands) == 1
+
+
+def test_cross_validate_records_failed_pell_variants(monkeypatch):
+    # a variant that does not apply at this n is skipped; any other failure
+    # of the Pell stage is recorded with its variant
+    def fails(params, n, variant):
+        if variant.value == "evenA":
+            raise ThresholdViolationError("evenA needs n >= 6")
+        raise ValueError("no nullspace")
+
+    monkeypatch.setattr(search, "solve_pell", fails)
+    ell = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
+    rep = cross_validate(ell, CausticPair(0.75, -3.0, LineType.SPACELIKE, -1), 4)
+    assert rep.pell_certificate is None
+    assert rep.failures == [("pell", "evenB: no nullspace")]
+    assert rep.valid
