@@ -265,6 +265,20 @@ _ODD_BRANCHES: dict[CausticCase, tuple[str, ...]] = {
 }
 
 
+# interval placement of (gamma1, gamma2) per two-caustic case, over any
+# ordered numbers (Fractions here, floats in the search)
+_PLACEMENTS = {
+    CausticCase.S1: lambda a1, a2, a3, g1, g2: -a3 < g2 < 0 < g1 < a2,
+    CausticCase.S2: lambda a1, a2, a3, g1, g2: g2 < -a3 and 0 < g1 < a2,
+    CausticCase.S3: lambda a1, a2, a3, g1, g2: g2 < -a3 and a2 < g1 < a1,
+    CausticCase.S4: lambda a1, a2, a3, g1, g2: -a3 < g2 < 0 and a2 < g1 < a1,
+    CausticCase.T1: lambda a1, a2, a3, g1, g2: 0 < g1 < a2 < g2 < a1,
+    CausticCase.T2: lambda a1, a2, a3, g1, g2: 0 < g1 < a2 < a1 < g2,
+    CausticCase.T3: lambda a1, a2, a3, g1, g2: a2 < g1 < g2 < a1,
+    CausticCase.T4: lambda a1, a2, a3, g1, g2: a2 < g1 < a1 < g2,
+}
+
+
 def _check_case_consistency(params: HyperellipticParams, case: CausticCase) -> None:
     a1, a2, a3 = params.a1, params.a2, params.a3
     g1, g2 = params.gamma1, params.gamma2
@@ -278,17 +292,7 @@ def _check_case_consistency(params: HyperellipticParams, case: CausticCase) -> N
         return
     if g2 is None or params.is_double:
         raise CaseMismatchError(f"case {case} needs two distinct finite caustics")
-    placements = {
-        CausticCase.S1: -a3 < g2 < 0 < g1 < a2,
-        CausticCase.S2: g2 < -a3 and 0 < g1 < a2,
-        CausticCase.S3: g2 < -a3 and a2 < g1 < a1,
-        CausticCase.S4: -a3 < g2 < 0 and a2 < g1 < a1,
-        CausticCase.T1: 0 < g1 < a2 < g2 < a1,
-        CausticCase.T2: 0 < g1 < a2 < a1 < g2,
-        CausticCase.T3: a2 < g1 < g2 < a1,
-        CausticCase.T4: a2 < g1 < a1 < g2,
-    }
-    if not placements[case]:
+    if not _PLACEMENTS[case](a1, a2, a3, g1, g2):
         raise CaseMismatchError(f"parameters do not satisfy the {case.value} placement")
 
 

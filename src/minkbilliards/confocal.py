@@ -27,7 +27,7 @@ from .errors import (
     OutsideDomainError,
     ZeroVectorError,
 )
-from .minkowski import LineType, Vec3, classify_direction
+from .minkowski import LineType, Vec3, _unit, classify_direction
 
 DOUBLE_CAUSTIC_RTOL = 1e-10
 INTERVAL_CHECK_TOL = 1e-8
@@ -46,7 +46,10 @@ class Ellipsoid:
             raise ValueError(f"need a1 > a2 > 0 and a3 > 0, got {(self.a1, self.a2, self.a3)}")
 
     def surface_residual(self, p: Vec3) -> float:
-        return p.x1 * p.x1 / self.a1 + p.x2 * p.x2 / self.a2 + p.x3 * p.x3 / self.a3 - 1.0
+        return self._residual(p.x1, p.x2, p.x3)
+
+    def _residual(self, x1: float, x2: float, x3: float) -> float:
+        return x1 * x1 / self.a1 + x2 * x2 / self.a2 + x3 * x3 / self.a3 - 1.0
 
     def scale(self) -> float:
         """Characteristic length (largest semi-axis)."""
@@ -273,11 +276,17 @@ def tangency_coefficients(p: Vec3, v: Vec3, ell: Ellipsoid) -> tuple[float, floa
     multiplied by (a1-lam)(a2-lam)(a3+lam); it is quadratic in lam with
     leading coefficient -<v,v>, so exactly one finite root for light-like v.
     """
+    return _tangency(p.x1, p.x2, p.x3, v.x1, v.x2, v.x3, ell)
+
+
+def _tangency(p1: float, p2: float, p3: float, v1: float, v2: float, v3: float,
+              ell: Ellipsoid) -> tuple[float, float, float]:
+    """``tangency_coefficients`` on float triples."""
     a1, a2, a3 = ell.a1, ell.a2, ell.a3
-    v1s, v2s, v3s = v.x1 * v.x1, v.x2 * v.x2, v.x3 * v.x3
-    j12 = p.x1 * v.x2 - p.x2 * v.x1
-    j13 = p.x1 * v.x3 - p.x3 * v.x1
-    j23 = p.x2 * v.x3 - p.x3 * v.x2
+    v1s, v2s, v3s = v1 * v1, v2 * v2, v3 * v3
+    j12 = p1 * v2 - p2 * v1
+    j13 = p1 * v3 - p3 * v1
+    j23 = p2 * v3 - p3 * v2
     t0 = (v1s * a2 * a3 + v2s * a1 * a3 + v3s * a1 * a2
           - j12 * j12 * a3 - j13 * j13 * a2 - j23 * j23 * a1)
     t1 = (v1s * (a2 - a3) + v2s * (a1 - a3) - v3s * (a1 + a2)
@@ -292,8 +301,18 @@ def tangency_residual(p: Vec3, v: Vec3, ell: Ellipsoid, gamma: float | None) -> 
     For the light-like sentinel (gamma None) the residual is the normalized
     leading coefficient, whose vanishing is tangency to the plane at infinity.
     """
-    vn = v.euclid_normalized()
-    t0, t1, t2 = tangency_coefficients(p, vn, ell)
+    return _tangency_residual(_unit_tangency(p, v, ell), gamma)
+
+
+def _unit_tangency(p: Vec3, v: Vec3, ell: Ellipsoid) -> tuple[float, float, float]:
+    """Tangency coefficients of the line through p along v normalized to
+    unit Euclidean length, the scale every residual is measured at."""
+    return _tangency(p.x1, p.x2, p.x3, *_unit(v.x1, v.x2, v.x3), ell)
+
+
+def _tangency_residual(coeffs: tuple[float, float, float], gamma: float | None) -> float:
+    """Normalized residual at gamma of the unit-direction coefficients."""
+    t0, t1, t2 = coeffs
     scale0 = abs(t0) + abs(t1) + abs(t2)
     if scale0 == 0.0:
         return 0.0

@@ -56,13 +56,18 @@ class Vec3:
         return math.sqrt(self.euclid_norm2())
 
     def euclid_normalized(self) -> "Vec3":
-        n = self.euclid_norm()
-        if n == 0.0:
-            raise ZeroVectorError("cannot normalize zero vector")
-        return Vec3(self.x1 / n, self.x2 / n, self.x3 / n)
+        return Vec3(*_unit(self.x1, self.x2, self.x3))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.x1, self.x2, self.x3)
+
+
+def _unit(x1: float, x2: float, x3: float) -> tuple[float, float, float]:
+    """Euclidean normalization of a float triple."""
+    n = math.sqrt(x1 * x1 + x2 * x2 + x3 * x3)
+    if n == 0.0:
+        raise ZeroVectorError("cannot normalize zero vector")
+    return x1 / n, x2 / n, x3 / n
 
 
 def mink_dot(u: Vec3, v: Vec3) -> float:
@@ -99,11 +104,20 @@ def reflect_direction(v: Vec3, normal: Vec3, tol: float = DEFAULT_LIGHT_TOL) -> 
     ``v' = v - 2 <v,n>/<n,n> n``.  Undefined when the normal is light-like
     (it then lies inside the plane and no such decomposition exists).
     """
-    n2 = normal.euclid_norm2()
-    if n2 == 0.0:
+    return Vec3(*_reflect(v.x1, v.x2, v.x3, normal.x1, normal.x2, normal.x3, tol))
+
+
+def _reflect(v1: float, v2: float, v3: float, n1: float, n2: float, n3: float,
+             tol: float) -> tuple[float, float, float]:
+    """``reflect_direction`` on float triples."""
+    e2 = n1 * n1 + n2 * n2 + n3 * n3
+    if e2 == 0.0:
         raise ZeroVectorError("reflection normal is zero")
-    nn = mink_dot(normal, normal)
-    if abs(nn) <= tol * n2:
+    nn = n1 * n1 + n2 * n2 - n3 * n3
+    if abs(nn) <= tol * e2:
         raise LightLikeNormalError("reflection in a light-like normal is not defined")
-    coef = 2.0 * mink_dot(v, normal) / nn
-    return v - coef * normal
+    coef = 2.0 * (v1 * n1 + v2 * n2 - v3 * n3) / nn
+    m1, m2, m3 = n1 * coef, n2 * coef, n3 * coef
+    if not math.isfinite(m1 + m2 + m3):
+        Vec3(m1, m2, m3)    # a non-finite coef * normal raises the Vec3 ValueError
+    return v1 - m1, v2 - m2, v3 - m3

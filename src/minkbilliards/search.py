@@ -31,7 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .conditions import HyperellipticParams, cayley_test, condition_vector, darboux_integrals
+from .conditions import (
+    _ODD_BRANCHES,
+    _PLACEMENTS,
+    HyperellipticParams,
+    cayley_test,
+    condition_vector,
+    darboux_integrals,
+)
 from .confocal import (
     CausticCase,
     CausticPair,
@@ -94,12 +101,17 @@ _SEARCH_KIND: dict[tuple[CausticCase, int], SeriesKind] = {
 
 def _search_kind(case: CausticCase, n: int) -> SeriesKind | None:
     """Condition branch searched for (case, n); None when the case admits no
-    period of this parity (the search is then empty by the parity exclusion)."""
+    period of this parity (the search is then empty by the parity exclusion).
+    Other periods raise EmptyRangeError: the search covers n = 4, 5 and 6,
+    and past 6 only a case without odd periods may answer an odd n with
+    None."""
     if (case, n) in _SEARCH_KIND:
         return _SEARCH_KIND[(case, n)]
     if n == 6 and case in _CASE_RECTS:
         return SeriesKind.A
-    if n % 2 == 1:
+    # the light-like case keeps its odd branch in conditions.lightlike_test
+    has_odd = case is CausticCase.LIGHT or bool(_ODD_BRANCHES.get(case))
+    if n % 2 == 1 and (n < 7 or not has_odd):
         return None
     raise EmptyRangeError(f"period n={n} is not supported by the condition search (use 4, 5 or 6)")
 
@@ -269,8 +281,10 @@ def _refine_candidates(spec: SearchSpec, kind: SeriesKind,
                        seeds: list[tuple[float, float]]
                        ) -> tuple[list[PeriodicCandidate], dict[str, int]]:
     """Refine every seed in one Newton batch and keep the distinct converged
-    roots inside the rectangle, in seed order, as sorted candidates; the
-    counts say what became of the seeds."""
+    roots inside the rectangle and the case placement, in seed order, as
+    sorted candidates; the counts say what became of the seeds.  The
+    placement rejects the mirror image of a root in a case whose rectangle
+    is symmetric (T3)."""
     a = spec.ellipsoid
     case, n = spec.case, spec.n
     g1lo, g1hi = g1b
@@ -285,7 +299,7 @@ def _refine_candidates(spec: SearchSpec, kind: SeriesKind,
     counts.update(outside=0, duplicates=0)
     roots: list[tuple[float, float]] = []
     for (g1, g2) in xs[outcome == CONVERGED].tolist():
-        if not (g1lo < g1 < g1hi and g2lo < g2 < g2hi):
+        if not (g1lo < g1 < g1hi and g2lo < g2 < g2hi and _PLACEMENTS[case](*a, g1, g2)):
             counts["outside"] += 1
         elif any(abs(g1 - r1) < 1e-9 and abs(g2 - r2) < 1e-9 for (r1, r2) in roots):
             counts["duplicates"] += 1

@@ -8,6 +8,14 @@ a bounce on the equatorial belt where the second does.  A tropic impact
 direction is itself the normal vector lying in the tangent plane; it then
 reverses the ray and is counted as two reflections, one off a cap and one
 off the belt.  Transversal tropic impacts terminate the trajectory.
+
+Each stage of a bounce is a private kernel on plain float triples
+(``_impact``, ``_normal``, ``_component``, ``_reflect_at``); the public
+``Vec3`` functions ``next_impact``, ``surface_normal``,
+``classify_surface_point`` and ``reflect_at`` wrap them, and ``trace`` runs
+them directly, building only the two ``Vec3`` a record keeps per bounce.
+Elliptic coordinates of a bounce point are computed when a record's
+``coords`` is read, not while tracing.
 """
 
 from __future__ import annotations
@@ -21,11 +29,12 @@ from .confocal import (
     CausticPair,
     Ellipsoid,
     EllipticCoords,
+    _tangency_residual,
+    _unit_tangency,
     classify_case,
     elliptic_coordinates,
     line_caustics,
     require_inside,
-    tangency_residual,
 )
 from .errors import (
     BilliardError,
@@ -35,7 +44,7 @@ from .errors import (
     UndefinedReflectionError,
     ZeroVectorError,
 )
-from .minkowski import LineType, Vec3, classify_direction, mink_dot, reflect_direction
+from .minkowski import LineType, Vec3, _reflect, _unit, classify_direction
 
 TROPIC_TOL = 1e-9
 IMPACT_RESIDUAL_TOL = 1e-12
@@ -49,14 +58,33 @@ class SurfaceComponent(Enum):
     TROPIC = "tropic"
 
 
+# member lookups through an Enum class are slow (~0.2 us on CPython 3.11);
+# the per-bounce kernels read the members from these names
+_CAP_NORTH, _CAP_SOUTH, _BELT, _TROPIC = (SurfaceComponent.CAP_NORTH, SurfaceComponent.CAP_SOUTH,
+                                          SurfaceComponent.BELT, SurfaceComponent.TROPIC)
+
+
 @dataclass(frozen=True, slots=True)
 class BounceRecord:
+    """One reflection: the impact point, the directions before and after it,
+    the surface component hit, the ray parameter of the segment ending here,
+    and the billiard table, from which ``coords`` is computed on access."""
+
     point: Vec3
     incoming: Vec3
     outgoing: Vec3
     component: SurfaceComponent
     param_t: float
-    coords: EllipticCoords | None    # None on degenerate loci (axial orbits etc.)
+    ellipsoid: Ellipsoid
+
+    @property
+    def coords(self) -> EllipticCoords | None:
+        """Elliptic coordinates of the impact point, computed on each read;
+        None on degenerate loci (axial orbits etc.)."""
+        try:
+            return elliptic_coordinates(self.point, self.ellipsoid)
+        except DegeneratePointError:
+            return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,7 +112,11 @@ class Trajectory:
 
 def surface_normal(p: Vec3, ell: Ellipsoid) -> Vec3:
     """Minkowski normal to the ellipsoid at p (index-lowered gradient)."""
-    return Vec3(2.0 * p.x1 / ell.a1, 2.0 * p.x2 / ell.a2, -2.0 * p.x3 / ell.a3)
+    return Vec3(*_normal(p.x1, p.x2, p.x3, ell))
+
+
+def _normal(x1: float, x2: float, x3: float, ell: Ellipsoid) -> tuple[float, float, float]:
+    return 2.0 * x1 / ell.a1, 2.0 * x2 / ell.a2, -2.0 * x3 / ell.a3
 
 
 def classify_surface_point(p: Vec3, ell: Ellipsoid, tol: float = TROPIC_TOL) -> SurfaceComponent:
@@ -95,12 +127,17 @@ def classify_surface_point(p: Vec3, ell: Ellipsoid, tol: float = TROPIC_TOL) -> 
     equatorial belt; a light-like normal is the tropic curve itself.
     """
     n = surface_normal(p, ell)
-    nn = mink_dot(n, n)
-    if abs(nn) <= tol * n.euclid_norm2():
-        return SurfaceComponent.TROPIC
+    return _component(n.x1, n.x2, n.x3, p.x3, tol)
+
+
+def _component(n1: float, n2: float, n3: float, x3: float, tol: float) -> SurfaceComponent:
+    """Component at a surface point of height x3 with normal (n1, n2, n3)."""
+    nn = n1 * n1 + n2 * n2 - n3 * n3
+    if abs(nn) <= tol * (n1 * n1 + n2 * n2 + n3 * n3):
+        return _TROPIC
     if nn < 0.0:
-        return SurfaceComponent.CAP_NORTH if p.x3 >= 0.0 else SurfaceComponent.CAP_SOUTH
-    return SurfaceComponent.BELT
+        return _CAP_NORTH if x3 >= 0.0 else _CAP_SOUTH
+    return _BELT
 
 
 def next_impact(p: Vec3, v: Vec3, ell: Ellipsoid) -> tuple[Vec3, float]:
@@ -109,36 +146,51 @@ def next_impact(p: Vec3, v: Vec3, ell: Ellipsoid) -> tuple[Vec3, float]:
     Solves the Euclidean quadratic with the stable-root form and polishes by
     Newton to surface residual <= 1e-12.
     """
-    if v.euclid_norm2() == 0.0:
+    h1, h2, h3, t = _impact(p.x1, p.x2, p.x3, v.x1, v.x2, v.x3, ell, 1e-10 * ell.scale())
+    return Vec3(h1, h2, h3), t
+
+
+def _impact(p1: float, p2: float, p3: float, v1: float, v2: float, v3: float,
+            ell: Ellipsoid, tfloor: float) -> tuple[float, float, float, float]:
+    """``next_impact`` on float triples: the impact point and t.  ``tfloor``
+    is ``1e-10 * ell.scale()``, which a trace computes once."""
+    a1, a2, a3 = ell.a1, ell.a2, ell.a3
+    s1, s2, s3 = v1 * v1, v2 * v2, v3 * v3
+    vv = s1 + s2 + s3
+    if vv == 0.0:
         raise ZeroVectorError("ray direction is zero")
-    a = v.x1 * v.x1 / ell.a1 + v.x2 * v.x2 / ell.a2 + v.x3 * v.x3 / ell.a3
-    b = 2.0 * (p.x1 * v.x1 / ell.a1 + p.x2 * v.x2 / ell.a2 + p.x3 * v.x3 / ell.a3)
-    c = ell.surface_residual(p)
+    a = s1 / a1 + s2 / a2 + s3 / a3
+    b = 2.0 * (p1 * v1 / a1 + p2 * v2 / a2 + p3 * v3 / a3)
+    c = ell._residual(p1, p2, p3)
     disc = b * b - 4.0 * a * c
     if disc <= 0.0:
         raise NoForwardIntersectionError("ray does not cross the ellipsoid")
     sq = math.sqrt(disc)
     qq = -(b + math.copysign(sq, b)) / 2.0
-    cands = [qq / a]
-    if qq != 0.0:
-        cands.append(c / qq)
-    tmin = 1e-10 * ell.scale() / v.euclid_norm()
-    fwd = [t for t in cands if t > tmin]
-    if not fwd:
+    r1 = qq / a
+    r2 = c / qq if qq != 0.0 else -math.inf
+    tmin = tfloor / math.sqrt(vv)
+    # the smaller of the two roots beyond tmin
+    if r1 > tmin:
+        t = r2 if tmin < r2 < r1 else r1
+    elif r2 > tmin:
+        t = r2
+    else:
         raise NoForwardIntersectionError("no forward intersection beyond the start point")
-    t = min(fwd)
 
     # Newton polish on the surface residual along the ray
     for _ in range(4):
-        q = Vec3(p.x1 + t * v.x1, p.x2 + t * v.x2, p.x3 + t * v.x3)
-        f = ell.surface_residual(q)
+        q1, q2, q3 = p1 + t * v1, p2 + t * v2, p3 + t * v3
+        f = ell._residual(q1, q2, q3)
         if abs(f) <= IMPACT_RESIDUAL_TOL:
-            break
-        df = 2.0 * (q.x1 * v.x1 / ell.a1 + q.x2 * v.x2 / ell.a2 + q.x3 * v.x3 / ell.a3)
+            return q1, q2, q3, t
+        if not math.isfinite(f):
+            Vec3(q1, q2, q3)    # a non-finite point raises the Vec3 ValueError
+        df = 2.0 * (q1 * v1 / a1 + q2 * v2 / a2 + q3 * v3 / a3)
         if df == 0.0:
-            break
+            return q1, q2, q3, t
         t -= f / df
-    return Vec3(p.x1 + t * v.x1, p.x2 + t * v.x2, p.x3 + t * v.x3), t
+    return p1 + t * v1, p2 + t * v2, p3 + t * v3, t
 
 
 def reflect_at(p: Vec3, v: Vec3, ell: Ellipsoid, tol: float = TROPIC_TOL) -> Vec3:
@@ -149,25 +201,24 @@ def reflect_at(p: Vec3, v: Vec3, ell: Ellipsoid, tol: float = TROPIC_TOL) -> Vec
     UndefinedReflectionError.
     """
     n = surface_normal(p, ell)
-    nn = mink_dot(n, n)
-    if abs(nn) <= tol * n.euclid_norm2():
+    tropic = _component(n.x1, n.x2, n.x3, p.x3, tol) is _TROPIC
+    return Vec3(*_reflect_at(v.x1, v.x2, v.x3, n.x1, n.x2, n.x3, tropic))
+
+
+def _reflect_at(v1: float, v2: float, v3: float, n1: float, n2: float, n3: float,
+                tropic: bool) -> tuple[float, float, float]:
+    """``reflect_at`` on float triples, given the normal and the tropic test."""
+    if tropic:
         # tropic: check the orthogonal-vector-in-tangent-plane configuration
-        vn = v.euclid_normalized()
-        nnorm = n.euclid_normalized()
-        cross2 = ((vn.x2 * nnorm.x3 - vn.x3 * nnorm.x2) ** 2
-                  + (vn.x3 * nnorm.x1 - vn.x1 * nnorm.x3) ** 2
-                  + (vn.x1 * nnorm.x2 - vn.x2 * nnorm.x1) ** 2)
+        u1, u2, u3 = _unit(v1, v2, v3)
+        e1, e2, e3 = _unit(n1, n2, n3)
+        cross2 = ((u2 * e3 - u3 * e2) ** 2
+                  + (u3 * e1 - u1 * e3) ** 2
+                  + (u1 * e2 - u2 * e1) ** 2)
         if cross2 <= 1e-18:
-            return -v
+            return -v1, -v2, -v3
         raise UndefinedReflectionError("transversal impact on the tropic curve")
-    return reflect_direction(v, n, tol=0.0)
-
-
-def _record_coords(p: Vec3, ell: Ellipsoid) -> EllipticCoords | None:
-    try:
-        return elliptic_coordinates(p, ell)
-    except DegeneratePointError:
-        return None
+    return _reflect(v1, v2, v3, n1, n2, n3, 0.0)
 
 
 def trace(p: Vec3, v: Vec3, ell: Ellipsoid, max_bounces: int) -> Trajectory:
@@ -176,7 +227,9 @@ def trace(p: Vec3, v: Vec3, ell: Ellipsoid, max_bounces: int) -> Trajectory:
     Stops at max_bounces or at an undefined reflection / degenerate start;
     partial trajectories carry the failure in ``error``.  A start point
     outside the ellipsoid raises OutsideDomainError and a negative bounce
-    count ValueError.
+    count ValueError.  The loop carries position and direction as floats
+    through the stage kernels; each bounce builds two checked ``Vec3``, the
+    impact point and the outgoing direction, which its records share.
     """
     if max_bounces < 0:
         raise ValueError(f"bounce count must be nonnegative, got {max_bounces}")
@@ -191,30 +244,35 @@ def trace(p: Vec3, v: Vec3, ell: Ellipsoid, max_bounces: int) -> Trajectory:
         traj.error = f"caustics: {exc}"
         return traj
 
-    cur_p, cur_v = p, v
-    while len(traj.bounces) < max_bounces:
+    bounces = traj.bounces
+    p1, p2, p3 = p.x1, p.x2, p.x3
+    v1, v2, v3 = v.x1, v.x2, v.x3
+    cur_v = v
+    tfloor = 1e-10 * ell.scale()
+    while len(bounces) < max_bounces:
         try:
-            hit, t = next_impact(cur_p, cur_v, ell)
+            p1, p2, p3, t = _impact(p1, p2, p3, v1, v2, v3, ell, tfloor)
         except BilliardError as exc:
             traj.error = f"impact: {exc}"
             break
-        comp = classify_surface_point(hit, ell)
+        hit = Vec3(p1, p2, p3)
+        n1, n2, n3 = _normal(p1, p2, p3, ell)
+        comp = _component(n1, n2, n3, p3, TROPIC_TOL)
         try:
-            out = reflect_at(hit, cur_v, ell)
+            v1, v2, v3 = _reflect_at(v1, v2, v3, n1, n2, n3, comp is _TROPIC)
         except BilliardError as exc:
-            traj.bounces.append(BounceRecord(hit, cur_v, cur_v, comp, t,
-                                             _record_coords(hit, ell)))
+            bounces.append(BounceRecord(hit, cur_v, cur_v, comp, t, ell))
             traj.error = f"reflection: {exc}"
             break
-        coords = _record_coords(hit, ell)
-        if comp is SurfaceComponent.TROPIC:
+        out = Vec3(v1, v2, v3)
+        if comp is _TROPIC:
             # counted as two reflections: one off a cap, one off the belt
-            cap = SurfaceComponent.CAP_NORTH if hit.x3 >= 0.0 else SurfaceComponent.CAP_SOUTH
-            traj.bounces.append(BounceRecord(hit, cur_v, out, cap, t, coords))
-            traj.bounces.append(BounceRecord(hit, cur_v, out, SurfaceComponent.BELT, t, coords))
+            cap = _CAP_NORTH if p3 >= 0.0 else _CAP_SOUTH
+            bounces.append(BounceRecord(hit, cur_v, out, cap, t, ell))
+            bounces.append(BounceRecord(hit, cur_v, out, _BELT, t, ell))
         else:
-            traj.bounces.append(BounceRecord(hit, cur_v, out, comp, t, coords))
-        cur_p, cur_v = hit, out
+            bounces.append(BounceRecord(hit, cur_v, out, comp, t, ell))
+        cur_v = out
     return traj
 
 
@@ -224,12 +282,14 @@ def chasles_residual(traj: Trajectory) -> float:
         return 0.0
     cp = traj.caustics
     ell = traj.ellipsoid
+    gammas = (cp.gamma1, cp.gamma2)
     worst = 0.0
     segs = [(traj.start_point, traj.start_direction)]
     segs += [(b.point, b.outgoing) for b in traj.bounces[:-1]]
     for (sp, sv) in segs:
-        for g in (cp.gamma1, cp.gamma2):
-            worst = max(worst, tangency_residual(sp, sv, ell, g))
+        coeffs = _unit_tangency(sp, sv, ell)
+        for g in gammas:
+            worst = max(worst, _tangency_residual(coeffs, g))
     return worst
 
 
@@ -286,25 +346,26 @@ def detect_period(traj: Trajectory, tol: float = RETURN_TOL_DEFAULT) -> PeriodSi
     scale = ell.scale()
     recs = traj.bounces
 
-    def state(i: int) -> tuple[Vec3, Vec3]:
-        return recs[i].point, recs[i].outgoing.euclid_normalized()
+    def state(i: int) -> tuple[Vec3, tuple[float, float, float]]:
+        o = recs[i].outgoing
+        return recs[i].point, _unit(o.x1, o.x2, o.x3)
 
     def is_dual_twin(i: int) -> bool:
         # second record of a tropic event: same point and outgoing as its pair
         return (i > 0 and recs[i].point == recs[i - 1].point
                 and recs[i].outgoing == recs[i - 1].outgoing)
 
-    p0, d0 = state(0)
+    p0, (d1, d2, d3) = state(0)
     for n in range(1, len(recs)):
         if is_dual_twin(n):
             continue
-        pn, dn = state(n)
+        pn, (e1, e2, e3) = state(n)
         dp = math.sqrt((pn.x1 - p0.x1) ** 2 + (pn.x2 - p0.x2) ** 2 + (pn.x3 - p0.x3) ** 2)
-        dd = math.sqrt((dn.x1 - d0.x1) ** 2 + (dn.x2 - d0.x2) ** 2 + (dn.x3 - d0.x3) ** 2)
+        dd = math.sqrt((e1 - d1) ** 2 + (e2 - d2) ** 2 + (e3 - d3) ** 2)
         if dp <= tol * scale and dd <= tol:
             m1 = sum(1 for r in recs[:n]
-                     if r.component in (SurfaceComponent.CAP_NORTH, SurfaceComponent.CAP_SOUTH))
-            n1 = sum(1 for r in recs[:n] if r.component is SurfaceComponent.BELT)
+                     if r.component in (_CAP_NORTH, _CAP_SOUTH))
+            n1 = sum(1 for r in recs[:n] if r.component is _BELT)
             n2 = _lambda3_sweep_count(traj, n)
             return PeriodSignature(n, m1, n1, n2)
     return None

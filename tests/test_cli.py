@@ -121,6 +121,16 @@ def test_find_periodic_cli_empty(tmp_path, capsys):
     assert json.loads(out) == []
 
 
+def test_find_periodic_cli_odd_period_past_six(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 7, "grid": 8,
+    }))
+    code, out, err = run(capsys, "find-periodic", "--spec", str(spec))
+    assert code == 2 and out == ""
+    assert "n=7" in err
+
+
 def test_cross_validate_cli(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

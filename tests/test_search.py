@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkbilliards import (
     CausticCase,
@@ -10,6 +12,7 @@ from minkbilliards import (
     Ellipsoid,
     LineType,
     SearchSpec,
+    classify_case,
     cross_validate,
     find_periodic,
     line_caustics,
@@ -59,6 +62,56 @@ def test_find_periodic_grid_refinement_keeps_roots(e421):
     for c in coarse:
         assert any(abs(c.gamma1 - f.gamma1) < 1e-9 and abs(c.gamma2 - f.gamma2) < 1e-9
                    for f in fine)
+
+
+@pytest.mark.parametrize("grid", [32, 128])
+def test_find_periodic_t3_rejects_mirrored_roots(grid):
+    # T3's rectangle (a2, a1)^2 is symmetric and so is its B condition; the
+    # mirror (gamma2, gamma1) of a root converges too but breaks gamma1 < gamma2
+    cands = find_periodic(SearchSpec((3.0, 1.0, 2.0), CausticCase.T3, 4, grid=grid))
+    assert len(cands) == 1
+    assert 1.0 < cands[0].gamma1 < cands[0].gamma2 < 3.0
+
+
+def _searched_specs() -> list[tuple[CausticCase, int]]:
+    """(case, n) pairs that find_periodic scans (accepted, not parity-excluded)."""
+    out = []
+    for case in search._CASE_RECTS:
+        for n in (4, 5, 6):
+            try:
+                if search._search_kind(case, n) is not None:
+                    out.append((case, n))
+            except EmptyRangeError:
+                pass
+    return out
+
+
+_SEARCHED = _searched_specs()
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(_SEARCHED), st.floats(0.5, 3.0), st.floats(0.2, 3.0),
+       st.floats(0.3, 3.0))
+def test_find_periodic_candidates_keep_the_case_placement(case_n, a2, gap, a3):
+    case, n = case_n
+    ell = (a2 + gap, a2, a3)
+    spacelike = case.value.startswith("S")
+    for c in find_periodic(SearchSpec(ell, case, n, grid=10)):
+        cp = CausticPair(c.gamma1, c.gamma2,
+                         LineType.SPACELIKE if spacelike else LineType.TIMELIKE,
+                         -1 if spacelike else +1)
+        assert classify_case(cp, Ellipsoid(*ell)) is case
+
+
+def test_find_periodic_odd_period_past_six_raises(e421):
+    # S1 admits odd periods (branches C and D), so an empty list at n = 7
+    # would read as a parity exclusion
+    with pytest.raises(EmptyRangeError):
+        find_periodic(SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, 7, grid=8))
+
+
+def test_find_periodic_odd_period_excluded_without_odd_branch(e421):
+    assert find_periodic(SearchSpec((4.0, 2.0, 1.0), CausticCase.S3, 7, grid=8)) == []
 
 
 def test_find_periodic_empty_range(e421):

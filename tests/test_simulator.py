@@ -5,11 +5,13 @@ import pytest
 
 from minkbilliards import (
     CausticCase,
+    CausticPair,
     Ellipsoid,
     LineType,
     SurfaceComponent,
     Vec3,
     chasles_residual,
+    classify_case,
     classify_direction,
     classify_surface_point,
     detect_period,
@@ -19,16 +21,28 @@ from minkbilliards import (
     next_impact,
     parity_ok,
     reflect_at,
+    reflect_direction,
     surface_normal,
+    tangent_line_for_caustics,
     trace,
 )
 from minkbilliards.errors import (
+    BilliardError,
     DegeneratePointError,
+    InconsistentConfigurationError,
+    LightLikeNormalError,
     NoForwardIntersectionError,
     UndefinedReflectionError,
+    ZeroVectorError,
 )
-from minkbilliards.simulator import PeriodSignature
-from conftest import admissible_trace, random_interior_point
+from minkbilliards.simulator import (
+    IMPACT_RESIDUAL_TOL,
+    RETURN_TOL_DEFAULT,
+    TROPIC_TOL,
+    PeriodSignature,
+    _lambda3_sweep_count,
+)
+from conftest import admissible_trace, random_direction, random_interior_point
 
 
 def tropic_point(e421) -> Vec3:
@@ -182,7 +196,7 @@ def test_tropic_dual_count_convention(e421):
     from minkbilliards.simulator import BounceRecord, Trajectory
     p = tropic_point(e421)
     up = Vec3(0.0, 0.0, 1.0)
-    rec = lambda comp, pt, out: BounceRecord(pt, up, out, comp, 1.0, None)
+    rec = lambda comp, pt, out: BounceRecord(pt, up, out, comp, 1.0, e421)
     pole_n, pole_s = Vec3(0, 0, 1), Vec3(0, 0, -1)
     t = Trajectory(Vec3(0, 0, 0), up, e421, bounces=[
         rec(SurfaceComponent.CAP_NORTH, p, -1.0 * up),
@@ -287,3 +301,277 @@ def test_caustic_touch_along_trace(e421):
                 best[g] = min(best[g], min(abs(lam - g) for lam in c.as_tuple()))
     for g, d in best.items():
         assert d <= 1e-4, (g, d)
+
+
+# -- the Vec3 loop that trace ran before its float kernels, kept as the
+# reference they must reproduce bit for bit ---------------------------------
+
+def _ref_unit(v: Vec3) -> Vec3:
+    n = v.euclid_norm()
+    if n == 0.0:
+        raise ZeroVectorError("cannot normalize zero vector")
+    return Vec3(v.x1 / n, v.x2 / n, v.x3 / n)
+
+
+def _ref_normal(p: Vec3, ell) -> Vec3:
+    return Vec3(2.0 * p.x1 / ell.a1, 2.0 * p.x2 / ell.a2, -2.0 * p.x3 / ell.a3)
+
+
+def _ref_classify(p: Vec3, ell) -> SurfaceComponent:
+    n = _ref_normal(p, ell)
+    nn = mink_dot(n, n)
+    if abs(nn) <= TROPIC_TOL * n.euclid_norm2():
+        return SurfaceComponent.TROPIC
+    if nn < 0.0:
+        return SurfaceComponent.CAP_NORTH if p.x3 >= 0.0 else SurfaceComponent.CAP_SOUTH
+    return SurfaceComponent.BELT
+
+
+def _ref_next_impact(p: Vec3, v: Vec3, ell) -> tuple[Vec3, float]:
+    if v.euclid_norm2() == 0.0:
+        raise ZeroVectorError("ray direction is zero")
+    a = v.x1 * v.x1 / ell.a1 + v.x2 * v.x2 / ell.a2 + v.x3 * v.x3 / ell.a3
+    b = 2.0 * (p.x1 * v.x1 / ell.a1 + p.x2 * v.x2 / ell.a2 + p.x3 * v.x3 / ell.a3)
+    c = ell.surface_residual(p)
+    disc = b * b - 4.0 * a * c
+    if disc <= 0.0:
+        raise NoForwardIntersectionError("ray does not cross the ellipsoid")
+    sq = math.sqrt(disc)
+    qq = -(b + math.copysign(sq, b)) / 2.0
+    cands = [qq / a]
+    if qq != 0.0:
+        cands.append(c / qq)
+    tmin = 1e-10 * ell.scale() / v.euclid_norm()
+    fwd = [t for t in cands if t > tmin]
+    if not fwd:
+        raise NoForwardIntersectionError("no forward intersection beyond the start point")
+    t = min(fwd)
+    for _ in range(4):
+        q = Vec3(p.x1 + t * v.x1, p.x2 + t * v.x2, p.x3 + t * v.x3)
+        f = ell.surface_residual(q)
+        if abs(f) <= IMPACT_RESIDUAL_TOL:
+            break
+        df = 2.0 * (q.x1 * v.x1 / ell.a1 + q.x2 * v.x2 / ell.a2 + q.x3 * v.x3 / ell.a3)
+        if df == 0.0:
+            break
+        t -= f / df
+    return Vec3(p.x1 + t * v.x1, p.x2 + t * v.x2, p.x3 + t * v.x3), t
+
+
+def _ref_reflect_at(p: Vec3, v: Vec3, ell) -> Vec3:
+    n = _ref_normal(p, ell)
+    nn = mink_dot(n, n)
+    if abs(nn) <= TROPIC_TOL * n.euclid_norm2():
+        vn, nnorm = _ref_unit(v), _ref_unit(n)
+        cross2 = ((vn.x2 * nnorm.x3 - vn.x3 * nnorm.x2) ** 2
+                  + (vn.x3 * nnorm.x1 - vn.x1 * nnorm.x3) ** 2
+                  + (vn.x1 * nnorm.x2 - vn.x2 * nnorm.x1) ** 2)
+        if cross2 <= 1e-18:
+            return -v
+        raise UndefinedReflectionError("transversal impact on the tropic curve")
+    if n.euclid_norm2() == 0.0:
+        raise ZeroVectorError("reflection normal is zero")
+    if mink_dot(n, n) == 0.0:
+        raise LightLikeNormalError("reflection in a light-like normal is not defined")
+    coef = 2.0 * mink_dot(v, n) / nn
+    return v - coef * n
+
+
+def _ref_coords(p: Vec3, ell):
+    try:
+        return elliptic_coordinates(p, ell)
+    except DegeneratePointError:
+        return None
+
+
+def _ref_trace(p: Vec3, v: Vec3, ell, max_bounces: int):
+    """(records, error) of the old loop; a record is (point, incoming,
+    outgoing, component, param_t, coords)."""
+    recs, error = [], None
+    try:
+        classify_case(line_caustics(p, v, ell), ell)
+    except InconsistentConfigurationError:
+        pass
+    except BilliardError as exc:
+        return recs, f"caustics: {exc}"
+    cur_p, cur_v = p, v
+    while len(recs) < max_bounces:
+        try:
+            hit, t = _ref_next_impact(cur_p, cur_v, ell)
+        except BilliardError as exc:
+            error = f"impact: {exc}"
+            break
+        comp = _ref_classify(hit, ell)
+        try:
+            out = _ref_reflect_at(hit, cur_v, ell)
+        except BilliardError as exc:
+            recs.append((hit, cur_v, cur_v, comp, t, _ref_coords(hit, ell)))
+            error = f"reflection: {exc}"
+            break
+        coords = _ref_coords(hit, ell)
+        if comp is SurfaceComponent.TROPIC:
+            cap = SurfaceComponent.CAP_NORTH if hit.x3 >= 0.0 else SurfaceComponent.CAP_SOUTH
+            recs.append((hit, cur_v, out, cap, t, coords))
+            recs.append((hit, cur_v, out, SurfaceComponent.BELT, t, coords))
+        else:
+            recs.append((hit, cur_v, out, comp, t, coords))
+        cur_p, cur_v = hit, out
+    return recs, error
+
+
+def _ref_tangency_coefficients(p: Vec3, v: Vec3, ell) -> tuple[float, float, float]:
+    a1, a2, a3 = ell.a1, ell.a2, ell.a3
+    v1s, v2s, v3s = v.x1 * v.x1, v.x2 * v.x2, v.x3 * v.x3
+    j12 = p.x1 * v.x2 - p.x2 * v.x1
+    j13 = p.x1 * v.x3 - p.x3 * v.x1
+    j23 = p.x2 * v.x3 - p.x3 * v.x2
+    t0 = (v1s * a2 * a3 + v2s * a1 * a3 + v3s * a1 * a2
+          - j12 * j12 * a3 - j13 * j13 * a2 - j23 * j23 * a1)
+    t1 = (v1s * (a2 - a3) + v2s * (a1 - a3) - v3s * (a1 + a2)
+          - j12 * j12 + j13 * j13 + j23 * j23)
+    t2 = -(v1s + v2s - v3s)
+    return (t0, t1, t2)
+
+
+def _ref_chasles_residual(traj) -> float:
+    if traj.caustics is None or len(traj.bounces) < 2:
+        return 0.0
+    worst = 0.0
+    segs = [(traj.start_point, traj.start_direction)]
+    segs += [(b.point, b.outgoing) for b in traj.bounces[:-1]]
+    for (sp, sv) in segs:
+        for g in (traj.caustics.gamma1, traj.caustics.gamma2):
+            t0, t1, t2 = _ref_tangency_coefficients(sp, _ref_unit(sv), traj.ellipsoid)
+            scale0 = abs(t0) + abs(t1) + abs(t2)
+            if scale0 == 0.0:
+                r = 0.0
+            elif g is None:
+                r = abs(t2) / scale0
+            else:
+                ag = abs(g)
+                scale = abs(t2) * max(1.0, ag * ag) + abs(t1) * max(1.0, ag) + abs(t0)
+                r = abs((t2 * g + t1) * g + t0) / scale
+            worst = max(worst, r)
+    return worst
+
+
+def _ref_detect_period(traj, tol: float = RETURN_TOL_DEFAULT):
+    if traj.error is not None or not traj.bounces:
+        return None
+    scale = traj.ellipsoid.scale()
+    recs = traj.bounces
+
+    def state(i):
+        return recs[i].point, _ref_unit(recs[i].outgoing)
+
+    p0, d0 = state(0)
+    for n in range(1, len(recs)):
+        if recs[n].point == recs[n - 1].point and recs[n].outgoing == recs[n - 1].outgoing:
+            continue
+        pn, dn = state(n)
+        dp = math.sqrt((pn.x1 - p0.x1) ** 2 + (pn.x2 - p0.x2) ** 2 + (pn.x3 - p0.x3) ** 2)
+        dd = math.sqrt((dn.x1 - d0.x1) ** 2 + (dn.x2 - d0.x2) ** 2 + (dn.x3 - d0.x3) ** 2)
+        if dp <= tol * scale and dd <= tol:
+            m1 = sum(1 for r in recs[:n]
+                     if r.component in (SurfaceComponent.CAP_NORTH, SurfaceComponent.CAP_SOUTH))
+            n1 = sum(1 for r in recs[:n] if r.component is SurfaceComponent.BELT)
+            return PeriodSignature(n, m1, n1, _lambda3_sweep_count(traj, n))
+    return None
+
+
+def _reference_starts():
+    """Seeded space-, time- and light-like starts (admissible or not), the
+    exact 4-periodic starts, the axis shots and a transversal tropic chord."""
+    e421 = Ellipsoid(4.0, 2.0, 1.0)
+    rng = random.Random(2024)
+    starts = []
+    for lt in (LineType.SPACELIKE, LineType.TIMELIKE, LineType.LIGHTLIKE):
+        for _ in range(6):
+            starts.append((e421, random_interior_point(rng, e421), random_direction(rng, lt), 60))
+    e_exact = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
+    cp_exact = CausticPair(0.75, -3.0, LineType.SPACELIKE, -1)
+    for k in range(8):
+        p, v = tangent_line_for_caustics(e_exact, cp_exact, seed=k)
+        starts.append((e_exact, p, v, 12))
+    for d in (Vec3(1, 0, 0), Vec3(0, 1, 0), Vec3(0, 0, 1), Vec3(0, 0, -1)):
+        starts.append((e421, Vec3(0, 0, 0), d, 6))
+    p = tropic_point(e421)
+    v = Vec3(-p.x1, 0.05 - p.x2, -p.x3)
+    starts.append((e421, Vec3(p.x1 + v.x1, p.x2 + v.x2, p.x3 + v.x3), -1.0 * v, 5))
+    return starts
+
+
+_REFERENCE_STARTS = _reference_starts()
+
+
+@pytest.mark.parametrize("k", range(len(_REFERENCE_STARTS)))
+def test_trace_matches_vec3_reference_loop(k):
+    ell, p, v, bounces = _REFERENCE_STARTS[k]
+    traj = trace(p, v, ell, bounces)
+    ref, ref_error = _ref_trace(p, v, ell, bounces)
+    # repr of a float round-trips and tells -0.0 from 0.0: equal text is
+    # equal bits
+    got = [(b.point, b.incoming, b.outgoing, b.component, b.param_t) for b in traj.bounces]
+    assert repr(got) == repr([r[:5] for r in ref])
+    assert traj.error == ref_error
+    assert repr(chasles_residual(traj)) == repr(_ref_chasles_residual(traj))
+    for tol in (RETURN_TOL_DEFAULT, 1e-9):
+        assert detect_period(traj, tol) == _ref_detect_period(traj, tol)
+    # coordinates computed on access equal the old eager ones
+    assert repr([b.coords for b in traj.bounces]) == repr([r[5] for r in ref])
+
+
+def test_reference_starts_cover_every_path():
+    kinds = set()
+    for ell, p, v, bounces in _REFERENCE_STARTS:
+        traj = trace(p, v, ell, bounces)
+        kinds.add(traj.linetype)
+        if traj.error is not None:
+            kinds.add(traj.error.split(":")[0])
+        if detect_period(traj) is not None:
+            kinds.add("period")
+        if any(b.coords is None for b in traj.bounces):
+            kinds.add("degenerate coords")
+    assert kinds >= {LineType.SPACELIKE, LineType.TIMELIKE, LineType.LIGHTLIKE,
+                     "reflection", "period", "degenerate coords"}
+
+
+def test_coords_computed_on_access(e421):
+    rng = random.Random(21)
+    trajs = [admissible_trace(rng, e421, lt, 30)
+             for lt in (LineType.SPACELIKE, LineType.TIMELIKE, LineType.LIGHTLIKE)]
+    trajs.append(trace(Vec3(0, 0, 0), Vec3(0, 0, 1), e421, 4))    # axial: degenerate
+    seen_none = False
+    for t in trajs:
+        for b in t.bounces:
+            try:
+                want = elliptic_coordinates(b.point, e421)
+            except DegeneratePointError:
+                want = None
+            assert b.coords == want
+            seen_none = seen_none or want is None
+    assert seen_none
+
+
+def test_newton_polish_keeps_the_finiteness_check():
+    # the first Newton step overflows the point; the old loop's checked
+    # intermediate Vec3 raised, and the float kernel must raise the same error
+    ell = Ellipsoid(1e230, 1e229, 1e-238)
+    p, v = Vec3(0.9, -0.8, -0.5), Vec3(-0.3, -0.5, 3e-196)
+    with pytest.raises(ValueError) as ref:
+        _ref_next_impact(p, v, ell)
+    with pytest.raises(ValueError) as got:
+        next_impact(p, v, ell)
+    assert "non-finite component" in str(ref.value)
+    assert str(got.value) == str(ref.value)
+
+
+def test_reflection_keeps_the_product_check():
+    # coef * normal overflows: the old Vec3 product raised before v - coef*n
+    v, n = Vec3(1e300, 0.0, 0.0), Vec3(1.0, 0.0, 1.0000000000000002)
+    with pytest.raises(ValueError) as ref:
+        v - (2.0 * mink_dot(v, n) / mink_dot(n, n)) * n
+    with pytest.raises(ValueError) as got:
+        reflect_direction(v, n, tol=0.0)
+    assert "non-finite component" in str(ref.value)
+    assert str(got.value) == str(ref.value)
