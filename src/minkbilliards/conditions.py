@@ -234,9 +234,14 @@ def condition_vector(a, kind: SeriesKind, n: int, g1, g2) -> list:
     exact coefficients, floats the residuals that Newton refinement and
     cross-validation use, and numpy arrays of caustic parameters the values
     over a whole search grid in one call.
+
+    The series is built through order ``first + 1``, the second coefficient
+    returned, not through ``_required_order(n)``: a coefficient of
+    ``series_sqrt`` or ``series_div`` depends only on lower-order ones, so
+    the two values are the same, bit for bit, as those of the longer series.
     """
     caustics, divisors, first = _KINDS[kind]
-    order = _required_order(n)
+    order = first + 1
     s = series_sqrt(_branch_poly(a, caustics, (g1, g2)), order)
     s = _divide(s, divisors, (g1, g2), order)
     return [s[first], s[first + 1]]

@@ -166,12 +166,14 @@ def quadric_residual(lam: float, p: Vec3, ell: Ellipsoid) -> float:
     return p.x1 * p.x1 / d1 + p.x2 * p.x2 / d2 + p.x3 * p.x3 / d3 - 1.0
 
 
-def _confocal_cubic(p: Vec3, ell: Ellipsoid) -> tuple[float, float, float, float]:
+def _confocal_cubic(x1: float, x2: float, x3: float,
+                    ell: Ellipsoid) -> tuple[float, float, float, float]:
     """Coefficients (c0, c1, c2, c3) of the cleared cubic F(lam) whose roots
-    are the elliptic coordinates of p.  F = x1^2 (a2-l)(a3+l) + x2^2 (a1-l)(a3+l)
-    + x3^2 (a1-l)(a2-l) - (a1-l)(a2-l)(a3+l); leading coefficient is -1."""
+    are the elliptic coordinates of (x1, x2, x3).  F = x1^2 (a2-l)(a3+l)
+    + x2^2 (a1-l)(a3+l) + x3^2 (a1-l)(a2-l) - (a1-l)(a2-l)(a3+l); leading
+    coefficient is -1."""
     a1, a2, a3 = ell.a1, ell.a2, ell.a3
-    s1, s2, s3 = p.x1 * p.x1, p.x2 * p.x2, p.x3 * p.x3
+    s1, s2, s3 = x1 * x1, x2 * x2, x3 * x3
     # (a2-l)(a3+l) = a2*a3 + (a2-a3) l - l^2, etc.
     c0 = s1 * a2 * a3 + s2 * a1 * a3 + s3 * a1 * a2 - a1 * a2 * a3
     c1 = (s1 * (a2 - a3) + s2 * (a1 - a3) - s3 * (a1 + a2)
@@ -211,7 +213,12 @@ def _polish_cubic_root(coeffs: tuple[float, float, float, float], x: float, step
 
 def require_inside(p: Vec3, ell: Ellipsoid, surface_tol: float = 1e-8) -> None:
     """Raise OutsideDomainError unless p lies inside or on the ellipsoid."""
-    res = ell.surface_residual(p)
+    _require_inside(p.x1, p.x2, p.x3, ell, surface_tol)
+
+
+def _require_inside(x1: float, x2: float, x3: float, ell: Ellipsoid, surface_tol: float) -> None:
+    """``require_inside`` on a float triple."""
+    res = ell._residual(x1, x2, x3)
     if res > surface_tol:
         raise OutsideDomainError(f"point outside ellipsoid, residual {res:.3e}")
 
@@ -223,10 +230,18 @@ def elliptic_coordinates(p: Vec3, ell: Ellipsoid, *, surface_tol: float = 1e-8) 
     by Newton, and checks the Theorem-type bracketing (one root per interval
     (-a3, 0] / [0, a2) / (a2, a1)).  Points on degenerate loci (coordinate
     planes through a pole of the family, or a tropic collision) raise
-    DegeneratePointError.
+    DegeneratePointError.  The work is done by the float kernel ``_coords``,
+    which the simulator's lam3 sweep calls directly.
     """
-    require_inside(p, ell, surface_tol)
-    coeffs = _confocal_cubic(p, ell)
+    return EllipticCoords(*_coords(p.x1, p.x2, p.x3, ell, surface_tol))
+
+
+def _coords(x1: float, x2: float, x3: float, ell: Ellipsoid,
+            surface_tol: float = 1e-8) -> tuple[float, float, float]:
+    """``elliptic_coordinates`` on a float triple: (lam1, lam2, lam3), with
+    the same arithmetic and the same errors."""
+    _require_inside(x1, x2, x3, ell, surface_tol)
+    coeffs = _confocal_cubic(x1, x2, x3, ell)
     roots = sorted(_polish_cubic_root(coeffs, r) for r in _cubic_roots_trig(*coeffs))
     lam1, lam2, lam3 = roots
 
@@ -240,7 +255,7 @@ def elliptic_coordinates(p: Vec3, ell: Ellipsoid, *, surface_tol: float = 1e-8) 
     if lam2 - lam1 <= tol and abs(lam1) <= math.sqrt(tol * scale):
         raise DegeneratePointError("tropic degeneracy: lam1 = lam2 = 0")
 
-    return EllipticCoords(lam1, lam2, lam3)
+    return lam1, lam2, lam3
 
 
 def point_from_elliptic(coords: EllipticCoords, signs: tuple[int, int, int],

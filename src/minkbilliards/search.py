@@ -16,10 +16,12 @@ numpy arrays of caustic parameters and evaluates every grid point in one
 call.  Newton refinement runs every seed in lock-step (``_newton_batch``):
 per iteration one array call on the forward-difference points of all live
 seeds and one on all 40 step lengths of their damped steps, and each seed
-ends at the same point, bit for bit, as the loop run on it alone.  The 1-D
-bisection, candidate residuals and cross-validation pass floats.  Each
-scanned search logs one DEBUG record on this module's logger, with a
-``search`` attribute counting grid cells, seeds, Newton outcomes and
+ends at the same point, bit for bit, as the loop run on it alone.  A seed
+that steps out of the escape box (the case rectangle widened by its own
+width on every side) ends there, since no root outside the rectangle is
+kept.  The 1-D bisection, candidate residuals and cross-validation pass
+floats.  Each scanned search logs one DEBUG record on this module's logger,
+with a ``search`` attribute counting grid cells, seeds, Newton outcomes and
 rejected roots.
 """
 
@@ -100,15 +102,18 @@ _SEARCH_KIND: dict[tuple[CausticCase, int], SeriesKind] = {
 
 
 def _search_kind(case: CausticCase, n: int) -> SeriesKind | None:
-    """Condition branch searched for (case, n); None when the case admits no
-    period of this parity (the search is then empty by the parity exclusion).
-    Other periods raise EmptyRangeError: the search covers n = 4, 5 and 6,
-    and past 6 only a case without odd periods may answer an odd n with
-    None."""
+    """Condition branch searched for (case, n); None when the case has no
+    branch at n (the search is then empty): at an odd n in a case without
+    odd periods (the parity exclusion), and at n = 4 in a case without a B
+    branch, since the A branch starts at n = 6.  Other periods raise
+    EmptyRangeError: the search covers n = 4, 5 and 6, and past 6 only a
+    case without odd periods may answer an odd n with None."""
     if (case, n) in _SEARCH_KIND:
         return _SEARCH_KIND[(case, n)]
     if n == 6 and case in _CASE_RECTS:
         return SeriesKind.A
+    if n == 4:
+        return None    # only S1, T3 and the double caustic have a B branch
     # the light-like case keeps its odd branch in conditions.lightlike_test
     has_odd = case is CausticCase.LIGHT or bool(_ODD_BRANCHES.get(case))
     if n % 2 == 1 and (n < 7 or not has_odd):
@@ -143,12 +148,12 @@ class PeriodicCandidate:
 
 
 # per-seed outcomes of _newton_batch; only CONVERGED seeds are roots
-CONVERGED, STALLED, SINGULAR, CAPPED = range(4)
-_OUTCOME_NAMES = ("converged", "stalled", "singular", "iteration_cap")
+CONVERGED, STALLED, SINGULAR, CAPPED, ESCAPED = range(5)
+_OUTCOME_NAMES = ("converged", "stalled", "singular", "iteration_cap", "escaped")
 _STEP_LENGTHS = np.array([0.5 ** k for k in range(40)])    # exact powers of two
 
 
-def _newton_batch(func, seeds, tol: float, itmax: int = 60):
+def _newton_batch(func, seeds, tol: float, itmax: int = 60, box=None):
     """Damped Newton on F: R^2 -> R^2 from every seed at once.
 
     ``func`` maps a (k, 2) array of points to a (k, 2) array of values.
@@ -159,11 +164,17 @@ def _newton_batch(func, seeds, tol: float, itmax: int = 60):
     the iterates of the same loop run on that seed alone, bit for bit.
     ``func`` returns nan or inf outside its domain instead of raising; a
     non-finite value fails the descent test.
+    ``box`` = ((lo1, hi1), (lo2, hi2)), when given, is the escape box: a
+    seed that an accepted step puts outside it stops there.  Ending a seed
+    leaves the others' iterates as they were, bit for bit.
     Returns the final points and an outcome per seed: CONVERGED (max|f| <
     tol), STALLED (no step length descends), SINGULAR (the Jacobian solve
-    failed) or CAPPED (still above tol after ``itmax`` iterations).
+    failed), ESCAPED (stepped out of ``box``) or CAPPED (still above tol
+    after ``itmax`` iterations).
     """
     x = np.array(seeds, dtype=float).reshape(-1, 2)
+    if box is not None:
+        lo, hi = np.array(box, dtype=float).T
     outcome = np.full(len(x), CAPPED)
     if not len(x):
         return x, outcome
@@ -202,6 +213,11 @@ def _newton_batch(func, seeds, tol: float, itmax: int = 60):
             first = better.argmax(axis=1)[won]
             idx = idx[won]
             x[idx], fx[idx], mx[idx] = xn[won, first], fn[won, first], mn[won, first]
+            if box is not None:
+                xi = x[idx]
+                out = idx[~((lo <= xi) & (xi <= hi)).all(axis=1)]
+                outcome[out] = ESCAPED
+                live[out] = False
     outcome[live & (mx < tol)] = CONVERGED
     return x, outcome
 
@@ -242,7 +258,7 @@ def find_periodic(spec: SearchSpec) -> list[PeriodicCandidate]:
             "and check the second coefficient at each root")
     kind = _search_kind(case, n)
     if kind is None:
-        return []    # parity exclusion: no odd periods in this case
+        return []    # no branch at n: odd n without odd periods, or n = 4 without B
     (g1lo, g1hi), (g2lo, g2hi) = _CASE_RECTS[case](ell)
     if spec.g1_range is not None:
         g1lo, g1hi = max(g1lo, spec.g1_range[0]), min(g1hi, spec.g1_range[1])
@@ -284,16 +300,18 @@ def _refine_candidates(spec: SearchSpec, kind: SeriesKind,
     roots inside the rectangle and the case placement, in seed order, as
     sorted candidates; the counts say what became of the seeds.  The
     placement rejects the mirror image of a root in a case whose rectangle
-    is symmetric (T3)."""
+    is symmetric (T3).  A seed that steps out of the escape box, the case
+    rectangle widened on every side by its own width, ends there."""
     a = spec.ellipsoid
     case, n = spec.case, spec.n
     g1lo, g1hi = g1b
     g2lo, g2hi = g2b
+    box = [(lo - (hi - lo), hi + (hi - lo)) for lo, hi in _CASE_RECTS[case](Ellipsoid(*a))]
 
     def fun(pts: np.ndarray) -> np.ndarray:
         return np.column_stack(condition_vector(a, kind, n, pts[:, 0], pts[:, 1]))
 
-    xs, outcome = _newton_batch(fun, seeds, spec.refine_tol)
+    xs, outcome = _newton_batch(fun, seeds, spec.refine_tol, box=box)
     counts = {name: int(np.count_nonzero(outcome == code))
               for code, name in enumerate(_OUTCOME_NAMES)}
     counts.update(outside=0, duplicates=0)
@@ -620,7 +638,9 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
         report.fail("cayley", exc)
     try:
         kind = _search_kind(case, n)
-        if kind is not None:
+        if kind is None:
+            report.fail("condition", f"case {case.value} has no condition branch at n={n}")
+        else:
             f1, f2 = condition_vector((ell.a1, ell.a2, ell.a3), kind, n, cp.gamma1, g2)
             report.condition_residual = abs(f1) + abs(f2)
     except (BilliardError, ValueError, ZeroDivisionError) as exc:

@@ -15,7 +15,9 @@ Each stage of a bounce is a private kernel on plain float triples
 ``classify_surface_point`` and ``reflect_at`` wrap them, and ``trace`` runs
 them directly, building only the two ``Vec3`` a record keeps per bounce.
 Elliptic coordinates of a bounce point are computed when a record's
-``coords`` is read, not while tracing.
+``coords`` is read, not while tracing.  The lam3 sweep of ``detect_period``
+samples the segments as float triples through the coordinate kernel
+``confocal._coords``, which ``elliptic_coordinates`` wraps.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .confocal import (
     CausticPair,
     Ellipsoid,
     EllipticCoords,
+    _coords,
     _tangency_residual,
     _unit_tangency,
     classify_case,
@@ -298,21 +301,19 @@ def _lambda3_sweep_count(traj: Trajectory, n: int, samples_per_segment: int = 32
 
     The coordinate turns only at its interval endpoints, so the number of
     direction reversals of a densely sampled sequence equals the number of
-    endpoint touches; one full oscillation is two touches.
+    endpoint touches; one full oscillation is two touches.  The samples are
+    float triples passed to the coordinate kernel ``confocal._coords``.
     """
     ell = traj.ellipsoid
+    fracs = [(j + 0.5) / samples_per_segment for j in range(samples_per_segment)]
+    pts = [b.point for b in traj.bounces[:n + 1]]
     vals: list[float] = []
-    for k in range(n):
-        a = traj.bounces[k].point
-        bpt = traj.bounces[k + 1].point if k + 1 < len(traj.bounces) else None
-        if bpt is None:
-            break
-        for j in range(samples_per_segment):
-            s = (j + 0.5) / samples_per_segment
-            q = Vec3(a.x1 + s * (bpt.x1 - a.x1), a.x2 + s * (bpt.x2 - a.x2),
-                     a.x3 + s * (bpt.x3 - a.x3))
+    for a, b in zip(pts, pts[1:]):
+        a1, a2, a3 = a.x1, a.x2, a.x3
+        d1, d2, d3 = b.x1 - a1, b.x2 - a2, b.x3 - a3
+        for s in fracs:
             try:
-                vals.append(elliptic_coordinates(q, ell).lam3)
+                vals.append(_coords(a1 + s * d1, a2 + s * d2, a3 + s * d3, ell)[2])
             except BilliardError:
                 continue
     if len(vals) < 3:

@@ -121,6 +121,17 @@ def test_find_periodic_cli_empty(tmp_path, capsys):
     assert json.loads(out) == []
 
 
+def test_find_periodic_cli_no_branch_at_n4(tmp_path, capsys):
+    # S2 has no B branch and its A branch starts at n = 6: an empty search
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "ellipsoid": [4.0, 2.0, 1.0], "case": "S2", "n": 4, "grid": 8,
+    }))
+    code, out, _ = run(capsys, "find-periodic", "--spec", str(spec))
+    assert code == 1
+    assert json.loads(out) == []
+
+
 def test_find_periodic_cli_odd_period_past_six(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

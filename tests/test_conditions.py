@@ -19,6 +19,7 @@ from minkbilliards import (
     rationalize,
     sqrt_series,
 )
+from minkbilliards import conditions
 from minkbilliards.conditions import adaptive_gauss_legendre, gauss_legendre
 from minkbilliards.errors import (
     BilliardError,
@@ -28,7 +29,7 @@ from minkbilliards.errors import (
     QuadratureError,
     SingularCurveError,
 )
-from minkbilliards.series import SeriesKind, series_mul
+from minkbilliards.series import SeriesKind, series_mul, series_sqrt
 
 # exact rational parameter sets satisfying rank conditions (constructed via
 # the reverse polynomial method and verified symbolically):
@@ -293,3 +294,49 @@ def test_adaptive_gauss_legendre_panel_cap_raises():
     with pytest.raises(QuadratureError, match="did not converge"):
         adaptive_gauss_legendre(lambda x: 1.0 / x, 0.0, 1.0)
     assert issubclass(QuadratureError, BilliardError)
+
+
+def _full_order_condition_vector(a, kind, n, g1, g2):
+    """The condition vector read off the series built through order n + 2
+    (``_required_order``), as the exact engine builds it."""
+    caustics, divisors, first = conditions._KINDS[kind]
+    order = conditions._required_order(n)
+    s = series_sqrt(conditions._branch_poly(a, caustics, (g1, g2)), order)
+    s = conditions._divide(s, divisors, (g1, g2), order)
+    return [s[first], s[first + 1]]
+
+
+# per kind: a period that reads it and caustic parameters on (4, 2, 1),
+# gamma2 None for the double and light-like kinds
+_KIND_POINTS = [
+    (SeriesKind.A, 6, F(3, 4), F(-1, 3)),
+    (SeriesKind.B, 4, F(3, 4), F(-1, 3)),
+    (SeriesKind.C, 5, F(3, 4), F(-5, 2)),
+    (SeriesKind.D, 5, F(5, 2), F(-1, 3)),
+    (SeriesKind.DOUBLE_A, 6, F(5, 2), None),
+    (SeriesKind.DOUBLE_B, 4, F(5, 2), None),
+    (SeriesKind.LIGHT_A, 6, F(3, 4), None),
+    (SeriesKind.LIGHT_B, 5, F(3, 4), None),
+]
+
+
+@pytest.mark.parametrize("kind,n,g1,g2", _KIND_POINTS)
+def test_condition_vector_equals_full_order_series(kind, n, g1, g2):
+    # the two coefficients depend only on lower-order ones, so the series
+    # built through the second of them gives the same values: equal
+    # Fractions, and the same bits on float scalars and grid arrays
+    a = (F(4), F(2), F(1))
+    for m in (n, n + 2):
+        assert (condition_vector(a, kind, m, g1, g2)
+                == _full_order_condition_vector(a, kind, m, g1, g2))
+    af = (4.0, 2.0, 1.0)
+    g2f = None if g2 is None else float(g2)
+    got = condition_vector(af, kind, n, float(g1), g2f)
+    want = _full_order_condition_vector(af, kind, n, float(g1), g2f)
+    assert repr(got) == repr(want)
+    g1s = float(g1) * np.linspace(0.5, 1.5, 41)
+    g2s = None if g2 is None else float(g2) * np.linspace(1.5, 0.5, 41)
+    with np.errstate(all="ignore"):
+        got = condition_vector(af, kind, n, g1s, g2s)
+        want = _full_order_condition_vector(af, kind, n, g1s, g2s)
+    assert all(np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(got, want))

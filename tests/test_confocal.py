@@ -18,8 +18,14 @@ from minkbilliards import (
     quadric_residual,
     quadric_type,
 )
-from minkbilliards.confocal import EllipticCoords, tangency_coefficients, tangency_residual
+from minkbilliards.confocal import (
+    EllipticCoords,
+    _coords,
+    tangency_coefficients,
+    tangency_residual,
+)
 from minkbilliards.errors import (
+    BilliardError,
     DegenerateParameterError,
     DegeneratePointError,
     InconsistentConfigurationError,
@@ -116,6 +122,32 @@ def test_elliptic_coordinates_errors(e421):
         elliptic_coordinates(Vec3(2, 0, 0), e421)       # vertex on two coordinate planes
     with pytest.raises(OutsideDomainError):
         elliptic_coordinates(Vec3(5, 0, 0), e421)
+
+
+def _outcome(f, *args, **kw) -> str:
+    """The coordinates as a tuple repr, or the error's type and message."""
+    try:
+        c = f(*args, **kw)
+    except BilliardError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return repr(c.as_tuple() if isinstance(c, EllipticCoords) else c)
+
+
+def test_coords_kernel_matches_elliptic_coordinates(e421):
+    # the float kernel gives the same values and raises the same errors,
+    # with the same messages, as the Vec3 function that wraps it
+    rng = random.Random(8)
+    pts = [Vec3(2, 0, 0), Vec3(5, 0, 0), Vec3(0, 0, 0), Vec3(0, 0.3, 0),
+           Vec3(1.0, 0.5, 0.2), Vec3(2.02, 0.0, 0.1)]
+    pts += [random_interior_point(rng, e421, slack=-0.3) for _ in range(200)]
+    seen = set()
+    for p in pts:
+        for tol in (1e-8, 0.05):
+            got = _outcome(_coords, p.x1, p.x2, p.x3, e421, tol)
+            assert got == _outcome(elliptic_coordinates, p, e421, surface_tol=tol), p
+            seen.add("coords" if got.startswith("(") else got.split(":")[0])
+        assert _outcome(_coords, p.x1, p.x2, p.x3, e421) == _outcome(elliptic_coordinates, p, e421)
+    assert seen == {"coords", "OutsideDomainError", "DegeneratePointError"}
 
 
 def test_point_from_elliptic_round_trip(e421):

@@ -20,6 +20,7 @@ from minkbilliards import (
     tangent_line_for_caustics,
 )
 from minkbilliards import search
+from minkbilliards.conditions import HyperellipticParams, cayley_test
 from minkbilliards.errors import BilliardError, EmptyRangeError, ThresholdViolationError
 from minkbilliards.search import (
     closure_error_at,
@@ -304,6 +305,16 @@ def test_cross_validate_keeps_every_failed_stage(e421):
     assert not rep.valid
 
 
+@pytest.mark.parametrize("cp,n", [(CausticPair(1.0, -3.5, LineType.SPACELIKE, -1), 4),
+                                  (CausticPair(3.0, -3.5, LineType.SPACELIKE, -1), 5)])
+def test_cross_validate_names_a_missing_branch(e421, cp, n):
+    # S2 has no branch at n = 4 and S3 none at odd n: the report says so
+    rep = cross_validate(e421, cp, n)
+    case = classify_case(cp, e421).value
+    assert ("condition", f"case {case} has no condition branch at n={n}") in rep.failures
+    assert rep.condition_residual == float("inf") and not rep.valid
+
+
 def test_cross_validate_without_failures(e421):
     ell = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
     rep = cross_validate(ell, CausticPair(0.75, -3.0, LineType.SPACELIKE, -1), 4)
@@ -377,9 +388,9 @@ def test_newton_batch_matches_per_seed_loop(monkeypatch, case, n):
     calls = []
     newton_batch = search._newton_batch
 
-    def recording(func, seeds, tol, itmax=60):
+    def recording(func, seeds, tol, itmax=60, box=None):
         calls.append((func, seeds, tol))
-        return newton_batch(func, seeds, tol, itmax)
+        return newton_batch(func, seeds, tol, itmax, box)
 
     monkeypatch.setattr(search, "_newton_batch", recording)
     find_periodic(SearchSpec((4.0, 2.0, 1.0), case, n, grid=32))
@@ -428,6 +439,79 @@ def test_newton_batch_stalls_at_nan_boundary():
     assert 1.999 < xs[0, 0] < 2.0
 
 
+def test_newton_batch_escape_box_ends_seed():
+    # the full Newton step from (0.5, 0.5) lands next to the root (10, 0.5),
+    # outside the box: the seed ends there, while the batch without the box
+    # polishes it to the root; a seed whose root (0.75, 0.5) lies inside
+    # the box still converges
+    box = ((0.0, 1.0), (0.0, 1.0))
+
+    def far(pts):
+        return np.column_stack((pts[:, 0] - 10.0, pts[:, 1] - 0.5))
+
+    def near(pts):
+        return np.column_stack((pts[:, 0] - 0.75, pts[:, 1] - 0.5))
+
+    xs, outcome = search._newton_batch(far, [(0.5, 0.5)], 1e-13, box=box)
+    free_xs, free_outcome = search._newton_batch(far, [(0.5, 0.5)], 1e-13)
+    assert outcome.tolist() == [search.ESCAPED] and free_outcome.tolist() == [search.CONVERGED]
+    assert 9.0 < xs[0, 0] != free_xs[0, 0] and abs(free_xs[0, 0] - 10.0) < 1e-12
+    xs, outcome = search._newton_batch(near, [(0.5, 0.5)], 1e-13, box=box)
+    free_xs, _ = search._newton_batch(near, [(0.5, 0.5)], 1e-13)
+    assert outcome.tolist() == [search.CONVERGED] and xs.tobytes() == free_xs.tobytes()
+
+
+def test_escape_box_keeps_every_root_on_the_search_runs(monkeypatch):
+    # on every scanned (case, n) of (4, 2, 1) at grids 32 and 128, and on
+    # (3, 1, 2) T3 at n = 4: each seed that stays in the escape box ends
+    # where the batch without the box leaves it, bit for bit, and no seed
+    # that escaped would have converged inside the case rectangle
+    runs = [((4.0, 2.0, 1.0), case, n, grid) for grid in (32, 128) for case, n in _SEARCHED]
+    runs.append(((3.0, 1.0, 2.0), CausticCase.T3, 4, 32))
+    assert len(runs) == 31
+    calls = []
+    newton_batch = search._newton_batch
+
+    def recording(func, seeds, tol, itmax=60, box=None):
+        calls.append((func, seeds, tol, box))
+        return newton_batch(func, seeds, tol, itmax, box)
+
+    monkeypatch.setattr(search, "_newton_batch", recording)
+    escaped = 0
+    for ell, case, n, grid in runs:
+        find_periodic(SearchSpec(ell, case, n, grid=grid))
+        func, seeds, tol, box = calls.pop()
+        xs, outcome = newton_batch(func, seeds, tol, box=box)
+        free_xs, free_outcome = newton_batch(func, seeds, tol)
+        kept = outcome != search.ESCAPED
+        assert xs[kept].tobytes() == free_xs[kept].tobytes(), (case, n, grid)
+        assert np.array_equal(outcome[kept], free_outcome[kept]), (case, n, grid)
+        (g1lo, g1hi), (g2lo, g2hi) = search._CASE_RECTS[case](Ellipsoid(*ell))
+        for (g1, g2), out in zip(free_xs[~kept].tolist(), free_outcome[~kept].tolist()):
+            assert not (out == search.CONVERGED and g1lo < g1 < g1hi and g2lo < g2 < g2hi)
+        escaped += int(np.count_nonzero(~kept))
+    assert escaped > 0
+
+
+@pytest.mark.parametrize("case", [CausticCase.S2, CausticCase.S3, CausticCase.S4,
+                                  CausticCase.T1, CausticCase.T2, CausticCase.T4])
+def test_find_periodic_without_b_branch_is_empty_at_n4(case):
+    # branch A starts at n = 6 and only S1 and T3 have a B branch, so the
+    # exact test is False at n = 4 and the search is empty
+    ell = (4.0, 2.0, 1.0)
+    (g1lo, g1hi), (g2lo, g2hi) = search._CASE_RECTS[case](Ellipsoid(*ell))
+    params = HyperellipticParams.from_floats(*ell, (g1lo + g1hi) / 2, (g2lo + g2hi) / 2)
+    assert cayley_test(params, case, 4) is False
+    assert search._search_kind(case, 4) is None
+    assert find_periodic(SearchSpec(ell, case, 4, grid=8)) == []
+
+
+def test_scan_singular_lightlike_is_empty_at_n4():
+    # the light-like even branch starts at n = 6
+    assert search._search_kind(CausticCase.LIGHT, 4) is None
+    assert scan_singular_condition((4.0, 2.0, 1.0), CausticCase.LIGHT, 4, (0.05, 1.95)) == []
+
+
 def test_find_periodic_debug_record(caplog):
     spec = SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, 4, grid=32)
     with caplog.at_level(logging.DEBUG, logger="minkbilliards.search"):
@@ -437,11 +521,12 @@ def test_find_periodic_debug_record(caplog):
     assert record.levelno == logging.DEBUG
     stats = record.search
     assert list(stats) == ["kind", "grid_points", "nonfinite", "seeds", "converged",
-                           "stalled", "singular", "iteration_cap", "outside",
+                           "stalled", "singular", "iteration_cap", "escaped", "outside",
                            "duplicates", "candidates"]
     assert stats["kind"] == "B" and stats["grid_points"] == 32 ** 2
     assert stats["seeds"] == 16 == (stats["converged"] + stats["stalled"]
-                                    + stats["singular"] + stats["iteration_cap"])
+                                    + stats["singular"] + stats["iteration_cap"]
+                                    + stats["escaped"])
     assert stats["converged"] == stats["outside"] + stats["duplicates"] + stats["candidates"]
     assert stats["candidates"] == len(cands) == 1
 

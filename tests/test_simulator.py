@@ -575,3 +575,59 @@ def test_reflection_keeps_the_product_check():
         reflect_direction(v, n, tol=0.0)
     assert "non-finite component" in str(ref.value)
     assert str(got.value) == str(ref.value)
+
+
+def _ref_lambda3_sweep_count(traj, n: int, samples_per_segment: int = 32) -> int:
+    """The lam3 sweep through checked ``Vec3`` samples and the public
+    ``elliptic_coordinates``, as it ran before the float kernel."""
+    ell = traj.ellipsoid
+    vals = []
+    for k in range(n):
+        a = traj.bounces[k].point
+        bpt = traj.bounces[k + 1].point if k + 1 < len(traj.bounces) else None
+        if bpt is None:
+            break
+        for j in range(samples_per_segment):
+            s = (j + 0.5) / samples_per_segment
+            q = Vec3(a.x1 + s * (bpt.x1 - a.x1), a.x2 + s * (bpt.x2 - a.x2),
+                     a.x3 + s * (bpt.x3 - a.x3))
+            try:
+                vals.append(elliptic_coordinates(q, ell).lam3)
+            except BilliardError:
+                continue
+    if len(vals) < 3:
+        return 0
+    span = max(vals) - min(vals)
+    if span <= 1e-9 * max(ell.a1, ell.a3):
+        return 0
+    reversals = 0
+    prev_sign = 0
+    for i in range(1, len(vals)):
+        d = vals[i] - vals[i - 1]
+        if abs(d) <= 1e-14:
+            continue
+        sgn = 1 if d > 0 else -1
+        if prev_sign != 0 and sgn != prev_sign:
+            reversals += 1
+        prev_sign = sgn
+    return (reversals + 1) // 2
+
+
+def test_lambda3_sweep_matches_vec3_reference(e421):
+    # the float sweep counts what the Vec3 sweep counted, on non-periodic
+    # traces of every line type and on the starts of the reference loop
+    # (axial and tropic ones included), at prefixes up to past their end
+    rng = random.Random(44)
+    trajs = [admissible_trace(rng, e421, lt, 40)
+             for lt in (LineType.SPACELIKE, LineType.TIMELIKE, LineType.LIGHTLIKE)
+             for _ in range(2)]
+    trajs += [trace(p, v, ell, bounces) for ell, p, v, bounces in _REFERENCE_STARTS]
+    counts = set()
+    for traj in trajs:
+        ends = (len(traj.bounces) + 3,) if len(traj.bounces) <= 40 else ()
+        for n in (0, 1, 2, 5, 13, 30) + ends:
+            got = _lambda3_sweep_count(traj, n)
+            assert got == _ref_lambda3_sweep_count(traj, n), (traj.start_point, n)
+            counts.add(got)
+        assert _lambda3_sweep_count(traj, 5, 5) == _ref_lambda3_sweep_count(traj, 5, 5)
+    assert len(counts) > 5
