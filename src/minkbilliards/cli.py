@@ -109,9 +109,9 @@ def _cmd_check_cayley(args) -> int:
     vals = [Fraction(x) for x in args.params.split(",")]
     if len(vals) not in (4, 5):
         raise BilliardError("--params needs a1,a2,a3,gamma1[,gamma2]")
+    if args.light and len(vals) == 5:
+        raise BilliardError("--light puts gamma2 at infinity: give a1,a2,a3,gamma1 only")
     g2 = vals[4] if len(vals) == 5 else None
-    if args.light:
-        g2 = None
     params = HyperellipticParams(vals[0], vals[1], vals[2], vals[3], g2)
     case = CausticCase(args.case)
     ok = cayley_test(params, case, args.n)
@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exact rationals, e.g. 4,2,1,9/5,-1/2")
     p.add_argument("--case", required=True, choices=[c.value for c in CausticCase])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--light", action="store_true", help="treat gamma2 as the at-infinity sentinel")
+    p.add_argument("--light", action="store_true",
+                   help="treat gamma2 as the at-infinity sentinel; --params then has no gamma2")
     p.set_defaults(func=_cmd_check_cayley)
 
     p = sub.add_parser("verify-pell", help="verify a Pell certificate file")

@@ -39,7 +39,7 @@ from .errors import (
     UnverifiedInputError,
 )
 from .conditions import HyperellipticParams, divided_series, sqrt_series
-from .series import ModP, NonUnitError, SeriesKind, matrix_rank, nullspace
+from .series import ModP, NonUnitError, SeriesKind, matrix_rank, nullspace, poly_mul_frac
 
 
 # -- exact polynomial arithmetic ---------------------------------------------
@@ -100,12 +100,7 @@ class RatPoly:
     def __mul__(self, other: "RatPoly") -> "RatPoly":
         if self.is_zero or other.is_zero:
             return RatPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return RatPoly.of(out)
+        return RatPoly.of(poly_mul_frac(self.coeffs, other.coeffs))
 
     def scale(self, s: Fraction | int) -> "RatPoly":
         s = Fraction(s)

@@ -15,8 +15,9 @@ engine's series kernel run on other number types.  The grid scan passes
 numpy arrays of caustic parameters and evaluates every grid point in one
 call.  Newton refinement runs every seed in lock-step (``_newton_batch``):
 per iteration one array call on the forward-difference points of all live
-seeds and one on all 40 step lengths of their damped steps, and each seed
-ends at the same point, bit for bit, as the loop run on it alone.  A seed
+seeds, one on their full Newton steps, and one on the 39 shorter step
+lengths of the seeds whose full step does not descend; each seed ends at
+the same point, bit for bit, as the loop run on it alone.  A seed
 that steps out of the escape box (the case rectangle widened by its own
 width on every side) ends there, since no root outside the rectangle is
 kept.  The 1-D bisection, candidate residuals and cross-validation pass
@@ -30,6 +31,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
@@ -59,8 +61,9 @@ from .series import SeriesKind
 from .simulator import (
     PeriodSignature,
     Trajectory,
+    _lambda3_sweep_count,
+    _period,
     chasles_residual,
-    detect_period,
     parity_ok,
     trace,
 )
@@ -150,18 +153,20 @@ class PeriodicCandidate:
 # per-seed outcomes of _newton_batch; only CONVERGED seeds are roots
 CONVERGED, STALLED, SINGULAR, CAPPED, ESCAPED = range(5)
 _OUTCOME_NAMES = ("converged", "stalled", "singular", "iteration_cap", "escaped")
-_STEP_LENGTHS = np.array([0.5 ** k for k in range(40)])    # exact powers of two
+_SHORT_STEPS = np.array([0.5 ** k for k in range(1, 40)])    # exact powers of two
 
 
 def _newton_batch(func, seeds, tol: float, itmax: int = 60, box=None):
     """Damped Newton on F: R^2 -> R^2 from every seed at once.
 
     ``func`` maps a (k, 2) array of points to a (k, 2) array of values.
-    Each iteration makes two calls for all live seeds: one on the
-    forward-difference points of their Jacobians, one on all 40 step lengths
-    1, 1/2, ..., 2^-39 of their Newton steps, of which the first that lowers
-    max|f| wins.  The kernel acts element by element, so every seed follows
-    the iterates of the same loop run on that seed alone, bit for bit.
+    The step length is the first of 1, 1/2, ..., 2^-39 that lowers max|f|.
+    Each iteration calls ``func`` on the forward-difference points of the
+    live seeds' Jacobians and on their full Newton steps; only the seeds
+    whose full step does not descend go on to one more call, on the 39
+    shorter lengths.  The kernel acts element by element and ``1.0 * dx ==
+    dx``, so every seed follows the iterates of the same loop run on that
+    seed alone, bit for bit.
     ``func`` returns nan or inf outside its domain instead of raising; a
     non-finite value fails the descent test.
     ``box`` = ((lo1, hi1), (lo2, hi2)), when given, is the escape box: a
@@ -203,16 +208,24 @@ def _newton_batch(func, seeds, tol: float, itmax: int = 60, box=None):
             idx, xl, dx = idx[~singular], xl[~singular], dx[~singular]
             if not idx.size:
                 break
-            xn = xl[:, None, :] + _STEP_LENGTHS[None, :, None] * dx[:, None, :]
-            fn = func(xn.reshape(-1, 2)).reshape(len(idx), len(_STEP_LENGTHS), 2)
-            mn = np.max(np.abs(fn), axis=2)
-            better = mn < mx[idx, None]
-            won = better.any(axis=1)
+            xn = xl + dx
+            fn = func(xn)
+            mn = np.max(np.abs(fn), axis=1)
+            won = mn < mx[idx]
+            back = np.flatnonzero(~won)
+            if back.size:
+                # backtrack: the first shorter length that descends wins
+                xs = xl[back, None, :] + _SHORT_STEPS[None, :, None] * dx[back, None, :]
+                fs = func(xs.reshape(-1, 2)).reshape(back.size, len(_SHORT_STEPS), 2)
+                ms = np.max(np.abs(fs), axis=2)
+                better = ms < mx[idx[back], None]
+                won[back] = better.any(axis=1)
+                rows, first = np.arange(back.size), better.argmax(axis=1)
+                xn[back], fn[back], mn[back] = xs[rows, first], fs[rows, first], ms[rows, first]
             outcome[idx[~won]] = STALLED
             live[idx[~won]] = False
-            first = better.argmax(axis=1)[won]
             idx = idx[won]
-            x[idx], fx[idx], mx[idx] = xn[won, first], fn[won, first], mn[won, first]
+            x[idx], fx[idx], mx[idx] = xn[won], fn[won], mn[won]
             if box is not None:
                 xi = x[idx]
                 out = idx[~((lo <= xi) & (xi <= hi)).all(axis=1)]
@@ -453,13 +466,10 @@ def tangent_line_for_caustics(ell: Ellipsoid, cp: CausticPair,
 
     target2 = cp.gamma1 if cp.is_double else cp.gamma2
 
-    attempts = []
-    for i in range(len(fracs)):
-        for j in range(len(fracs)):
-            for sgn in ((1, 1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, -1),
-                        (-1, -1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1)):
-                attempts.append((fracs[(i + offset) % len(fracs)],
-                                 fracs[(j + offset) % len(fracs)], sgn))
+    # (fa, fb, sgn) attempts made one at a time, as the loop asks for them
+    rotated = fracs[offset:] + fracs[:offset]
+    attempts = product(rotated, rotated, ((1, 1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, -1),
+                                          (-1, -1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1)))
 
     g = cp.gamma1
     for (fa, fb, sgn) in attempts:
@@ -617,7 +627,11 @@ def closure_error_at(traj: Trajectory, n: int) -> float:
 def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
                    starts: int = 3, rationalize_bound: int = 10 ** 9) -> ValidationReport:
     """Full pipeline: exact tests, Pell certificate, multi-start tracing,
-    period detection, parity, Chasles and the winding-number residuals."""
+    period detection, parity, Chasles and the winding-number residuals.
+
+    Every start that closes must give the same (n, m1, n1); the report's
+    signature is the first such start's, and its lam3 oscillation count n2
+    is swept on that start alone, once per report."""
     case = classify_case(cp, ell)
     g2 = cp.gamma1 if cp.is_double else cp.gamma2    # snap the double caustic
     params = HyperellipticParams.from_floats(ell.a1, ell.a2, ell.a3, cp.gamma1,
@@ -658,7 +672,7 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
             break
 
     # numeric side: several distinct starting tangent lines, same caustics
-    signatures: list[PeriodSignature] = []
+    closed: list[tuple[tuple[int, int, int], Trajectory]] = []    # (n, m1, n1), start
     closures: list[float] = []
     chasles: list[float] = []
     for k in range(starts):
@@ -673,18 +687,20 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
             continue
         closures.append(closure_error_at(traj, n))
         chasles.append(chasles_residual(traj))
-        sig = detect_period(traj, tol=CLOSURE_TOL)
-        if sig is not None:
-            signatures.append(sig)
+        period = _period(traj, CLOSURE_TOL)
+        if period is not None:
+            closed.append((period, traj))
     if closures:
         report.closure_error = max(closures)
         report.chasles_residual = max(chasles)
-    if signatures:
-        report.signature = signatures[0]
-        report.signatures_agree = (len(signatures) == len(closures) and all(
-            s.n == signatures[0].n and s.m1 == signatures[0].m1 and s.n1 == signatures[0].n1
-            for s in signatures))
-        report.parity_pass = parity_ok(signatures[0], case)
+    if closed:
+        # the starts must agree on (n, m1, n1); the report keeps the first
+        # closed start's signature, so only that start's lam3 is swept
+        (per, m1, n1), first = closed[0]
+        report.signature = PeriodSignature(per, m1, n1, _lambda3_sweep_count(first, per))
+        report.signatures_agree = (len(closed) == len(closures)
+                                   and all(p == closed[0][0] for p, _ in closed))
+        report.parity_pass = parity_ok(report.signature, case)
 
     # winding-number relation
     if report.signature is not None:

@@ -214,15 +214,23 @@ def normalized_branch_poly(factors: list[tuple[Fraction, int]]) -> list[Fraction
     must be nonzero and, for a non-singular curve, pairwise distinct.  The
     constant term is the first root's own 1, so exact roots give an exact
     polynomial.
+
+    Each factor 1 + c x, c = -1/r, updates the coefficients by two terms,
+    out[k] = poly[k-1] c + poly[k], in the operand order of
+    ``poly_mul_frac(poly, [1, c])``.  The new leading term is added to zero,
+    as that product adds it, so no coefficient is ever -0.0 and the result
+    equals the product bit for bit on floats and arrays, and exactly on
+    Fractions and ``ModP``.
     """
     poly = [factors[0][0] ** 0]
+    zero = poly[0] - poly[0]
     for root, mult in factors:
         try:
-            lin = [1, -1 / root]
+            c = -1 / root
         except ZeroDivisionError:
             raise ZeroGammaError("branch root at 0 is not admissible") from None
         for _ in range(mult):
-            poly = poly_mul_frac(poly, lin)
+            poly = [poly[0], *(q * c + p for p, q in zip(poly[1:], poly)), zero + poly[-1] * c]
     return poly
 
 

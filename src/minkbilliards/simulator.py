@@ -17,7 +17,9 @@ them directly, building only the two ``Vec3`` a record keeps per bounce.
 Elliptic coordinates of a bounce point are computed when a record's
 ``coords`` is read, not while tracing.  The lam3 sweep of ``detect_period``
 samples the segments as float triples through the coordinate kernel
-``confocal._coords``, which ``elliptic_coordinates`` wraps.
+``confocal._coords``, which ``elliptic_coordinates`` wraps.  ``_period``
+finds the period without the sweep, for callers that sweep only one of
+several trajectories.
 """
 
 from __future__ import annotations
@@ -334,13 +336,9 @@ def _lambda3_sweep_count(traj: Trajectory, n: int, samples_per_segment: int = 32
     return (reversals + 1) // 2
 
 
-def detect_period(traj: Trajectory, tol: float = RETURN_TOL_DEFAULT) -> PeriodSignature | None:
-    """Smallest bounce count with a joint position/direction return.
-
-    Returns the signature (n, m1, n1, n2): cap bounces, belt bounces (tropic
-    events already appear as one of each in the record list) and the number
-    of completed lam3 oscillations over the period.
-    """
+def _period(traj: Trajectory, tol: float) -> tuple[int, int, int] | None:
+    """(n, m1, n1) of ``detect_period``'s signature, without the lam3
+    sweep; None when the trajectory does not close."""
     if traj.error is not None or not traj.bounces:
         return None
     ell = traj.ellipsoid
@@ -367,9 +365,23 @@ def detect_period(traj: Trajectory, tol: float = RETURN_TOL_DEFAULT) -> PeriodSi
             m1 = sum(1 for r in recs[:n]
                      if r.component in (_CAP_NORTH, _CAP_SOUTH))
             n1 = sum(1 for r in recs[:n] if r.component is _BELT)
-            n2 = _lambda3_sweep_count(traj, n)
-            return PeriodSignature(n, m1, n1, n2)
+            return n, m1, n1
     return None
+
+
+def detect_period(traj: Trajectory, tol: float = RETURN_TOL_DEFAULT) -> PeriodSignature | None:
+    """Smallest bounce count with a joint position/direction return.
+
+    Returns the signature (n, m1, n1, n2): cap bounces, belt bounces (tropic
+    events already appear as one of each in the record list) and the number
+    of completed lam3 oscillations over the period.  The period and its
+    bounce counts come from ``_period``; only n2 needs the lam3 sweep.
+    """
+    period = _period(traj, tol)
+    if period is None:
+        return None
+    n, m1, n1 = period
+    return PeriodSignature(n, m1, n1, _lambda3_sweep_count(traj, n))
 
 
 # parity constraints per case, from the winding-count structure of the proof:

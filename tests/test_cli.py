@@ -160,6 +160,15 @@ def test_check_cayley_light_flag(capsys):
     assert code == 0 and out.strip() == "SATISFIED"
 
 
+def test_check_cayley_light_flag_rejects_gamma2(capsys):
+    # --light puts gamma2 at infinity, so a fifth value is a usage error,
+    # not a value to drop
+    code, out, err = run(capsys, "check-cayley", "--params", "8,7,15,840/169,3",
+                         "--case", "light", "--n", "6", "--light")
+    assert code == 2 and out == ""
+    assert "--light" in err
+
+
 def test_usage_error_exit_codes(capsys):
     assert run(capsys, "caustics", "--ellipsoid", "4,2", "--point", "0,0,0",
                "--dir", "1,0,0")[0] == 2

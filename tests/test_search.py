@@ -1,3 +1,4 @@
+import itertools
 import logging
 import random
 
@@ -12,16 +13,27 @@ from minkbilliards import (
     Ellipsoid,
     LineType,
     SearchSpec,
+    chasles_residual,
     classify_case,
     cross_validate,
+    darboux_integrals,
+    detect_period,
     find_periodic,
+    interval_partition,
     line_caustics,
     mink_dot,
+    parity_ok,
     tangent_line_for_caustics,
+    trace,
 )
 from minkbilliards import search
 from minkbilliards.conditions import HyperellipticParams, cayley_test
-from minkbilliards.errors import BilliardError, EmptyRangeError, ThresholdViolationError
+from minkbilliards.errors import (
+    BilliardError,
+    EmptyRangeError,
+    NoConvergenceError,
+    ThresholdViolationError,
+)
 from minkbilliards.search import (
     closure_error_at,
     condition_vector_floats,
@@ -155,6 +167,47 @@ def test_tangent_lines_distinct_seeds(e421):
     assert len({tuple(round(c, 6) for c in p) for p in pts}) == 3
 
 
+def _eager_attempts(seed: int) -> list:
+    """The tangent-line attempts (fa, fb, sgn) of ``seed`` as one list of 512,
+    built before the first is tried."""
+    fracs = [0.41, 0.63, 0.27, 0.52, 0.74, 0.36, 0.58, 0.47]
+    offset = seed % len(fracs)
+    attempts = []
+    for i in range(len(fracs)):
+        for j in range(len(fracs)):
+            for sgn in ((1, 1, 1), (1, -1, 1), (-1, 1, 1), (1, 1, -1),
+                        (-1, -1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, -1)):
+                attempts.append((fracs[(i + offset) % len(fracs)],
+                                 fracs[(j + offset) % len(fracs)], sgn))
+    return attempts
+
+
+@pytest.mark.parametrize("case,cp", [
+    ("S1", CausticPair(1.0, -0.5, LineType.SPACELIKE, -1)),
+    ("S2", CausticPair(1.0, -2.0, LineType.SPACELIKE, -1)),
+    ("T1", CausticPair(1.0, 3.0, LineType.TIMELIKE, +1)),
+    ("T3", CausticPair(2.5, 3.5, LineType.TIMELIKE, +1)),
+], ids=["S1", "S2", "T1", "T3"])
+def test_tangent_line_attempts_match_eager_list(monkeypatch, e421, case, cp):
+    # the attempts are made on demand, in the eager list's order, and give
+    # the line the eager list gives
+    assert classify_case(cp, e421).value == case
+    for seed in range(8):
+        made = []
+
+        def counted(*pools):
+            for attempt in itertools.product(*pools):
+                made.append(attempt)
+                yield attempt
+
+        monkeypatch.setattr(search, "product", counted)
+        lazy = tangent_line_for_caustics(e421, cp, seed=seed)
+        eager_list = _eager_attempts(seed)
+        monkeypatch.setattr(search, "product", lambda *pools: eager_list)
+        assert lazy == tangent_line_for_caustics(e421, cp, seed=seed)
+        assert made == eager_list[:len(made)] and len(made) < len(eager_list)
+
+
 def test_cross_validate_exact_vector_full_pipeline():
     # the exact rational n=4 configuration validates end to end: exact rank
     # test true, Pell certificate verifies, trajectory closes in 4 bounces
@@ -172,6 +225,58 @@ def test_cross_validate_exact_vector_full_pipeline():
     assert rep.valid
     doc = rep.to_json_dict()
     assert doc["valid"] is True and doc["case"] == "S1"
+
+
+def _reference_cross_validate(ell, cp, n, starts=3):
+    """cross_validate with detect_period, lam3 sweep included, on every
+    start, for a two-caustic case.  The exact side is cross_validate's own,
+    run without starts; the numeric side and the Darboux relations follow
+    the report's rules."""
+    report = cross_validate(ell, cp, n, starts=0)
+    signatures, closures, chasles = [], [], []
+    for k in range(starts):
+        try:
+            x, v = tangent_line_for_caustics(ell, cp, seed=k)
+        except NoConvergenceError as exc:
+            report.fail("tangent line", exc)
+            continue
+        traj = trace(x, v, ell, max_bounces=2 * n + 5)
+        if traj.error is not None:
+            report.fail("trace", traj.error)
+            continue
+        closures.append(closure_error_at(traj, n))
+        chasles.append(chasles_residual(traj))
+        sig = detect_period(traj, tol=search.CLOSURE_TOL)
+        if sig is not None:
+            signatures.append(sig)
+    if closures:
+        report.closure_error, report.chasles_residual = max(closures), max(chasles)
+    if signatures:
+        sig = report.signature = signatures[0]
+        report.signatures_agree = len(signatures) == len(closures) and all(
+            (s.n, s.m1, s.n1) == (sig.n, sig.m1, sig.n1) for s in signatures)
+        report.parity_pass = parity_ok(sig, report.case)
+        part = interval_partition(cp, ell)
+        residuals = []
+        for k in (0, 1):
+            i1, i2, i3 = darboux_integrals((ell.a1, ell.a2, ell.a3, cp.gamma1, cp.gamma2),
+                                           part, k)
+            residuals.append(abs(sig.m1 * i1 + sig.n1 * i2 - sig.n2 * i3)
+                             / max(abs(i1), abs(i2), abs(i3)))
+        report.darboux_residuals = tuple(residuals)
+    return report
+
+
+@pytest.mark.parametrize("case,n", [(CausticCase.S1, 4), (CausticCase.S2, 5),
+                                    (CausticCase.S1, 6), (CausticCase.S3, 6)])
+def test_cross_validate_sweeps_one_start_as_the_reference_sweeps_all(e421, case, n):
+    # sweeping lam3 on the first closed start alone leaves every report
+    # as the sweep of every start made it
+    cands = find_periodic(SearchSpec((4.0, 2.0, 1.0), case, n, grid=32))
+    assert cands
+    for c in cands:
+        cp = CausticPair(c.gamma1, c.gamma2, LineType.SPACELIKE, -1)
+        assert repr(cross_validate(e421, cp, n)) == repr(_reference_cross_validate(e421, cp, n))
 
 
 def test_find_and_validate_s4_n5(e421):
@@ -333,7 +438,7 @@ def test_find_periodic_degenerate_cases_explain_missing_rectangle(case):
     assert "scan_singular_condition" in msg
 
 
-def _reference_newton(func, x0, tol, itmax=60):
+def _reference_newton(func, x0, tol, itmax=60, accepted=None):
     """The per-seed damped Newton loop that _newton_batch replaces, run on
     one-row arrays of ``func`` so its arithmetic is the batch's own."""
     def f(x):
@@ -363,6 +468,8 @@ def _reference_newton(func, x0, tol, itmax=60):
             if np.max(np.abs(fn)) < np.max(np.abs(fx)):
                 x, fx = xn, fn
                 improved = True
+                if accepted is not None:
+                    accepted.append(lam)
                 break
             lam *= 0.5
         if not improved:
@@ -370,11 +477,11 @@ def _reference_newton(func, x0, tol, itmax=60):
     return x, np.max(np.abs(fx)) < tol
 
 
-def _assert_matches_reference(func, seeds, tol):
+def _assert_matches_reference(func, seeds, tol, accepted=None):
     xs, outcome = search._newton_batch(func, seeds, tol)
     assert xs.shape == (len(seeds), 2) and outcome.shape == (len(seeds),)
     for seed, x, out in zip(seeds, xs, outcome):
-        ref_x, ref_ok = _reference_newton(func, seed, tol)
+        ref_x, ref_ok = _reference_newton(func, seed, tol, accepted=accepted)
         assert ref_x.tobytes() == x.tobytes(), (seed, ref_x, x)
         assert bool(ref_ok) == (out == search.CONVERGED), (seed, ref_ok, out)
     return xs, outcome
@@ -397,7 +504,18 @@ def test_newton_batch_matches_per_seed_loop(monkeypatch, case, n):
     [(func, seeds, tol)] = calls
     assert len(seeds) == 16
     monkeypatch.setattr(search, "_newton_batch", newton_batch)
-    _assert_matches_reference(func, seeds, tol)
+    accepted = []
+    _, outcome = _assert_matches_reference(func, seeds, tol, accepted)
+    # the runs cover every way out of the line search: a full step that
+    # descends, a shorter length after a full step that does not, and no
+    # length that descends (STALLED); on S1, n=4 every step is a full one
+    assert 1.0 in accepted
+    backtracked = any(lam < 1.0 for lam in accepted)
+    stalled = bool(np.any(outcome == search.STALLED))
+    if (case, n) == (CausticCase.S1, 4):
+        assert not backtracked and not stalled
+    else:
+        assert backtracked and stalled
 
 
 def test_newton_batch_empty_seed_list():

@@ -121,6 +121,42 @@ def test_poly_mul_frac():
     assert poly_mul_frac(a, b) == [F(3), F(6), F(1), F(2)]
 
 
+def _branch_poly_by_products(factors):
+    """normalized_branch_poly as the general product by each linear factor."""
+    poly = [factors[0][0] ** 0]
+    for root, mult in factors:
+        for _ in range(mult):
+            poly = poly_mul_frac(poly, [1, -1 / root])
+    return poly
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_normalized_branch_poly_equals_the_general_product(seed):
+    # the two-term update per factor gives the product's coefficients:
+    # exactly on Fractions and residues, bit for bit on floats and arrays;
+    # each root list has a pair r, -r, whose product cancels a coefficient
+    # to an exact zero, and one double root
+    import numpy as np
+
+    rng = random.Random(seed)
+    roots = [F(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 9)) for _ in range(4)]
+    roots.append(-roots[0])
+    factors = [(r, 1) for r in roots] + [(roots[1], 2)]
+    rng.shuffle(factors)
+    for number in (F, ModP):
+        fs = [(number(r), m) for r, m in factors]
+        assert normalized_branch_poly(fs) == _branch_poly_by_products(fs)
+    fs = [(float(r), m) for r, m in factors]
+    got, ref = normalized_branch_poly(fs), _branch_poly_by_products(fs)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+    # arrays: one column per grid point, with the exact roots in column 0
+    grid = [(np.array([float(r), *(rng.uniform(-9.0, 9.0) for _ in range(7))]), m)
+            for r, m in factors]
+    got, ref = normalized_branch_poly(grid), _branch_poly_by_products(grid)
+    assert len(got) == len(ref)
+    assert all(np.asarray(g).tobytes() == np.asarray(r).tobytes() for g, r in zip(got, ref))
+
+
 def test_generic_kernel_stays_exact():
     # Fraction input gives Fraction output, also past the input's degree,
     # where a kernel seeding its zeros from float or int literals would
