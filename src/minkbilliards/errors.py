@@ -101,5 +101,9 @@ class EmptyRangeError(BilliardError):
     """Scan range is empty or outside the admissible region."""
 
 
+class InvalidToleranceError(BilliardError):
+    """A tolerance is not a finite positive number."""
+
+
 class NoConvergenceError(BilliardError):
     """Root polishing / line construction failed to converge."""

@@ -38,7 +38,7 @@ from .errors import (
     ThresholdViolationError,
     UnverifiedInputError,
 )
-from .conditions import HyperellipticParams, divided_series, sqrt_series
+from .conditions import HyperellipticParams, _is_branch, _start, divided_series, sqrt_series
 from .series import ModP, NonUnitError, SeriesKind, matrix_rank, nullspace, poly_mul_frac
 
 
@@ -138,42 +138,29 @@ class PellVariant(Enum):
     LIGHT_ODD = "lightOdd"    # RHS -1/g1
 
 
-_EVEN_VARIANTS = {PellVariant.EVEN_A, PellVariant.EVEN_B,
-                  PellVariant.DOUBLE_A, PellVariant.DOUBLE_B, PellVariant.LIGHT_EVEN}
-
-
-def _variant_series_kind(variant: PellVariant) -> SeriesKind:
-    return {
-        PellVariant.EVEN_A: SeriesKind.A,
-        PellVariant.EVEN_B: SeriesKind.B,
-        PellVariant.ODD_C: SeriesKind.C,
-        PellVariant.ODD_D: SeriesKind.D,
-        PellVariant.DOUBLE_A: SeriesKind.DOUBLE_A,
-        PellVariant.DOUBLE_B: SeriesKind.DOUBLE_B,
-        PellVariant.LIGHT_EVEN: SeriesKind.LIGHT_A,
-        PellVariant.LIGHT_ODD: SeriesKind.LIGHT_B,
-    }[variant]
+# the series kind whose condition each variant certifies, one to one
+_VARIANT_KINDS: dict[PellVariant, SeriesKind] = {
+    PellVariant.EVEN_A: SeriesKind.A,
+    PellVariant.EVEN_B: SeriesKind.B,
+    PellVariant.ODD_C: SeriesKind.C,
+    PellVariant.ODD_D: SeriesKind.D,
+    PellVariant.DOUBLE_A: SeriesKind.DOUBLE_A,
+    PellVariant.DOUBLE_B: SeriesKind.DOUBLE_B,
+    PellVariant.LIGHT_EVEN: SeriesKind.LIGHT_A,
+    PellVariant.LIGHT_ODD: SeriesKind.LIGHT_B,
+}
 
 
 def variant_degrees(variant: PellVariant, n: int) -> tuple[int, int]:
-    """(deg p, deg q) for the variant at period n; raises below threshold."""
-    if variant in _EVEN_VARIANTS:
-        if n % 2 != 0:
-            raise ThresholdViolationError(f"{variant.value} needs even n, got {n}")
-        m = n // 2
-        if variant in (PellVariant.EVEN_A, PellVariant.DOUBLE_A, PellVariant.LIGHT_EVEN):
-            if n < 6:
-                raise ThresholdViolationError(f"{variant.value} needs n >= 6")
-            return (m, m - 3)
-        if n < 4:
-            raise ThresholdViolationError(f"{variant.value} needs n >= 4")
-        return (m - 1, m - 2)
-    if n % 2 != 1:
-        raise ThresholdViolationError(f"{variant.value} needs odd n, got {n}")
-    if n < 5:
-        raise ThresholdViolationError(f"{variant.value} needs n >= 5")
-    m = (n - 1) // 2
-    return (m, m - 2)
+    """(deg p, deg q) = ((n+s)/2 - 2, (n-s)/2 - 1) for the variant at period
+    n, with s the start index of its series kind; raises below threshold,
+    where the kind is no branch at n."""
+    kind = _VARIANT_KINDS[variant]
+    s = _start(kind)
+    if not _is_branch(kind, n):
+        raise ThresholdViolationError(
+            f"{variant.value} needs {'odd' if s % 2 else 'even'} n >= {s + 2}, got {n}")
+    return ((n + s) // 2 - 2, (n - s) // 2 - 1)
 
 
 def weight_polys(variant: PellVariant, params: HyperellipticParams) -> tuple[RatPoly, RatPoly]:
@@ -268,7 +255,7 @@ class PellSolution:
 def _variant_series(variant: PellVariant, params: HyperellipticParams, order: int,
                     number=Fraction):
     base = sqrt_series(params, order, number)
-    kind = _variant_series_kind(variant)
+    kind = _VARIANT_KINDS[variant]
     if kind is base.kind:
         return base
     return divided_series(base, kind, params)
@@ -394,20 +381,15 @@ def solve_pell_singular(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction
     if which in (PellVariant.DOUBLE_A, PellVariant.DOUBLE_B):
         if not (a[1] < gamma1 < a[0]):
             raise GammaOutOfRangeError("double caustic must lie between a2 and a1")
-        if n % 2 != 0:
-            return None
-        params = HyperellipticParams(a[0], a[1], a[2], gamma1, gamma1)
-        return solve_pell(params, n, which)
-    if which in (PellVariant.LIGHT_EVEN, PellVariant.LIGHT_ODD):
+        gamma2 = gamma1
+    elif which in (PellVariant.LIGHT_EVEN, PellVariant.LIGHT_ODD):
         if not (-a[2] < gamma1 < a[0]) or gamma1 == a[1] or gamma1 == 0:
             raise GammaOutOfRangeError("light-like caustic parameter out of range")
-        if which is PellVariant.LIGHT_EVEN and n % 2 != 0:
-            return None
-        if which is PellVariant.LIGHT_ODD:
-            if n % 2 != 1:
-                return None
-            if not (-a[2] < gamma1 < a[1]):
-                return None     # odd periods need an ellipsoid caustic
-        params = HyperellipticParams(a[0], a[1], a[2], gamma1, None)
-        return solve_pell(params, n, which)
-    raise ValueError(f"not a singular variant: {which}")
+        gamma2 = None
+    else:
+        raise ValueError(f"not a singular variant: {which}")
+    if n % 2 != _start(_VARIANT_KINDS[which]) % 2:
+        return None
+    if which is PellVariant.LIGHT_ODD and not (-a[2] < gamma1 < a[1]):
+        return None     # odd periods need an ellipsoid caustic
+    return solve_pell(HyperellipticParams(a[0], a[1], a[2], gamma1, gamma2), n, which)

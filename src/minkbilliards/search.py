@@ -36,8 +36,10 @@ from itertools import product
 import numpy as np
 
 from .conditions import (
-    _ODD_BRANCHES,
+    _CASE_KINDS,
     _PLACEMENTS,
+    _branches,
+    _start,
     HyperellipticParams,
     cayley_test,
     condition_vector,
@@ -54,9 +56,15 @@ from .confocal import (
     point_from_elliptic,
     tangency_coefficients,
 )
-from .errors import BilliardError, EmptyRangeError, NoConvergenceError, ThresholdViolationError
+from .errors import (
+    BilliardError,
+    EmptyRangeError,
+    InvalidToleranceError,
+    NoConvergenceError,
+    ThresholdViolationError,
+)
 from .minkowski import Vec3, mink_dot
-from .pell import PellSolution, PellVariant, solve_pell, verify_pell
+from .pell import _VARIANT_KINDS, PellSolution, PellVariant, solve_pell, verify_pell
 from .series import SeriesKind
 from .simulator import (
     PeriodSignature,
@@ -74,6 +82,8 @@ CLOSURE_TOL = 1e-6
 _log = logging.getLogger(__name__)
 
 
+# the name the benchmark's grid replay (bench/wl_search.py) probes; it goes
+# once a benchmark-only change points the replay at condition_vector
 condition_vector_floats = condition_vector
 
 
@@ -89,38 +99,16 @@ _CASE_RECTS = {
     CausticCase.T4: lambda e: ((e.a2, e.a1), (e.a1, 6.0 * e.a1)),
 }
 
-_SEARCH_KIND: dict[tuple[CausticCase, int], SeriesKind] = {
-    (CausticCase.S1, 4): SeriesKind.B,
-    (CausticCase.T3, 4): SeriesKind.B,
-    (CausticCase.S1, 5): SeriesKind.C,
-    (CausticCase.S2, 5): SeriesKind.C,
-    (CausticCase.T1, 5): SeriesKind.C,
-    (CausticCase.T2, 5): SeriesKind.C,
-    (CausticCase.S4, 5): SeriesKind.D,
-    (CausticCase.DOUBLE, 4): SeriesKind.DOUBLE_B,
-    (CausticCase.DOUBLE, 6): SeriesKind.DOUBLE_A,
-    (CausticCase.LIGHT, 5): SeriesKind.LIGHT_B,
-    (CausticCase.LIGHT, 6): SeriesKind.LIGHT_A,
-}
-
-
 def _search_kind(case: CausticCase, n: int) -> SeriesKind | None:
-    """Condition branch searched for (case, n); None when the case has no
-    branch at n (the search is then empty): at an odd n in a case without
-    odd periods (the parity exclusion), and at n = 4 in a case without a B
-    branch, since the A branch starts at n = 6.  Other periods raise
-    EmptyRangeError: the search covers n = 4, 5 and 6, and past 6 only a
-    case without odd periods may answer an odd n with None."""
-    if (case, n) in _SEARCH_KIND:
-        return _SEARCH_KIND[(case, n)]
-    if n == 6 and case in _CASE_RECTS:
-        return SeriesKind.A
-    if n == 4:
-        return None    # only S1, T3 and the double caustic have a B branch
-    # the light-like case keeps its odd branch in conditions.lightlike_test
-    has_odd = case is CausticCase.LIGHT or bool(_ODD_BRANCHES.get(case))
-    if n % 2 == 1 and (n < 7 or not has_odd):
-        return None
+    """Condition branch searched for (case, n): the first branch of the case
+    at n, or None when the case has none there (the search is then empty).
+    The search covers n = 4, 5 and 6.  Outside that range an odd n without
+    a branch also gives None: no odd period is below 5, and a case without
+    odd kinds has no odd period (the parity exclusion).  Every other period
+    raises EmptyRangeError."""
+    kind = next(iter(_branches(case, n)), None)
+    if 4 <= n <= 6 or (n % 2 and kind is None):
+        return kind
     raise EmptyRangeError(f"period n={n} is not supported by the condition search (use 4, 5 or 6)")
 
 
@@ -260,7 +248,14 @@ def find_periodic(spec: SearchSpec) -> list[PeriodicCandidate]:
     most promising cells, all seeds in one batch; converged roots are
     deduplicated, checked for case placement, rationalized, and re-checked
     with the exact rank test.  A scanned search logs its counts at DEBUG.
+    A grid of fewer than 2 points per axis spans no scan range, and a
+    ``refine_tol`` that is not finite and positive accepts no root (or every
+    point): both raise instead of answering with no candidates.
     """
+    if spec.grid < 2:
+        raise EmptyRangeError(f"a grid of {spec.grid} points per axis spans no scan range")
+    if not (math.isfinite(spec.refine_tol) and spec.refine_tol > 0):
+        raise InvalidToleranceError(f"refine_tol must be finite and > 0, got {spec.refine_tol}")
     ell = Ellipsoid(*spec.ellipsoid)
     case, n = spec.case, spec.n
     if case not in _CASE_RECTS:
@@ -525,26 +520,14 @@ def tangent_line_for_caustics(ell: Ellipsoid, cp: CausticPair,
 
 # -- cross validation -----------------------------------------------------------
 
-_PELL_VARIANTS: dict[tuple[CausticCase, int], list[PellVariant]] = {}
-for _case in (CausticCase.S1, CausticCase.T3):
-    _PELL_VARIANTS[(_case, 0)] = [PellVariant.EVEN_A, PellVariant.EVEN_B]
-for _case in (CausticCase.S2, CausticCase.S3, CausticCase.S4,
-              CausticCase.T1, CausticCase.T2, CausticCase.T4):
-    _PELL_VARIANTS[(_case, 0)] = [PellVariant.EVEN_A]
-for _case, _v in ((CausticCase.S1, [PellVariant.ODD_C, PellVariant.ODD_D]),
-                  (CausticCase.S2, [PellVariant.ODD_C]),
-                  (CausticCase.S4, [PellVariant.ODD_D]),
-                  (CausticCase.T1, [PellVariant.ODD_C]),
-                  (CausticCase.T2, [PellVariant.ODD_C])):
-    _PELL_VARIANTS[(_case, 1)] = _v
+_KIND_VARIANTS = {kind: variant for variant, kind in _VARIANT_KINDS.items()}
 
 
 def pell_variants_for(case: CausticCase, n: int) -> list[PellVariant]:
-    if case is CausticCase.DOUBLE:
-        return [PellVariant.DOUBLE_A, PellVariant.DOUBLE_B] if n % 2 == 0 else []
-    if case is CausticCase.LIGHT:
-        return [PellVariant.LIGHT_EVEN] if n % 2 == 0 else [PellVariant.LIGHT_ODD]
-    return _PELL_VARIANTS.get((case, n % 2), [])
+    """Pell variants of the case's kinds with the parity of n, in table
+    order; a variant below its period threshold is listed too, and
+    ``solve_pell`` raises ThresholdViolationError for it."""
+    return [_KIND_VARIANTS[kind] for kind in _CASE_KINDS[case] if _start(kind) % 2 == n % 2]
 
 
 @dataclass

@@ -142,6 +142,20 @@ def test_find_periodic_cli_odd_period_past_six(tmp_path, capsys):
     assert "n=7" in err
 
 
+@pytest.mark.parametrize("command", ["find-periodic", "cross-validate"])
+@pytest.mark.parametrize("field", [{"grid": 0}, {"grid": 1}, {"refine_tol": 0}])
+def test_search_cli_refuses_a_degenerate_spec(tmp_path, capsys, command, field):
+    # a grid below 2 points per axis or a refine_tol that is not finite and
+    # positive is a violated precondition, not an empty search
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 4, "grid": 8, **field,
+    }))
+    code, out, err = run(capsys, command, "--spec", str(spec))
+    assert code == 2 and out == ""
+    assert "precondition violated" in err and next(iter(field)) in err
+
+
 def test_cross_validate_cli(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 import random
 
 import numpy as np
@@ -31,6 +32,7 @@ from minkbilliards.conditions import HyperellipticParams, cayley_test
 from minkbilliards.errors import (
     BilliardError,
     EmptyRangeError,
+    InvalidToleranceError,
     NoConvergenceError,
     ThresholdViolationError,
 )
@@ -622,6 +624,21 @@ def test_find_periodic_without_b_branch_is_empty_at_n4(case):
     assert cayley_test(params, case, 4) is False
     assert search._search_kind(case, 4) is None
     assert find_periodic(SearchSpec(ell, case, 4, grid=8)) == []
+
+
+@pytest.mark.parametrize("grid", [-1, 0, 1])
+def test_find_periodic_refuses_a_grid_below_two_points(grid):
+    # a grid of fewer than 2 points per axis spans no scan range; it used to
+    # answer "no candidates"
+    with pytest.raises(EmptyRangeError, match="grid"):
+        find_periodic(SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, 4, grid=grid))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-13, math.nan, math.inf])
+def test_find_periodic_refuses_a_tolerance_not_finite_and_positive(tol):
+    # no seed meets a tolerance <= 0 or nan, and every seed meets inf
+    with pytest.raises(InvalidToleranceError, match="refine_tol"):
+        find_periodic(SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, 4, grid=8, refine_tol=tol))
 
 
 def test_scan_singular_lightlike_is_empty_at_n4():
