@@ -231,7 +231,7 @@ def elliptic_coordinates(p: Vec3, ell: Ellipsoid, *, surface_tol: float = 1e-8) 
     (-a3, 0] / [0, a2) / (a2, a1)).  Points on degenerate loci (coordinate
     planes through a pole of the family, or a tropic collision) raise
     DegeneratePointError.  The work is done by the float kernel ``_coords``,
-    which the simulator's lam3 sweep calls directly.
+    which the simulator's lam3 event count calls directly.
     """
     return EllipticCoords(*_coords(p.x1, p.x2, p.x3, ell, surface_tol))
 
@@ -315,27 +315,36 @@ def tangency_residual(p: Vec3, v: Vec3, ell: Ellipsoid, gamma: float | None) -> 
 
     For the light-like sentinel (gamma None) the residual is the normalized
     leading coefficient, whose vanishing is tangency to the plane at infinity.
+    The coefficients are those of v normalized to unit Euclidean length, the
+    scale every residual is measured at.
     """
-    return _tangency_residual(_unit_tangency(p, v, ell), gamma)
+    coeffs = _tangency(p.x1, p.x2, p.x3, *_unit(v.x1, v.x2, v.x3), ell)
+    return _tangency_residual(coeffs, _residual_weights(gamma))
 
 
-def _unit_tangency(p: Vec3, v: Vec3, ell: Ellipsoid) -> tuple[float, float, float]:
-    """Tangency coefficients of the line through p along v normalized to
-    unit Euclidean length, the scale every residual is measured at."""
-    return _tangency(p.x1, p.x2, p.x3, *_unit(v.x1, v.x2, v.x3), ell)
+def _residual_weights(gamma: float | None) -> tuple[float, float, float] | None:
+    """(gamma, max(1, gamma^2), max(1, |gamma|)): the caustic parameter with
+    the weights of |t2| and |t1| in the scale of its tangency residual; None
+    for the light-like sentinel.  ``chasles_residual`` computes them once per
+    caustic of a trajectory."""
+    if gamma is None:
+        return None
+    g = abs(gamma)
+    return gamma, max(1.0, g * g), max(1.0, g)
 
 
-def _tangency_residual(coeffs: tuple[float, float, float], gamma: float | None) -> float:
-    """Normalized residual at gamma of the unit-direction coefficients."""
+def _tangency_residual(coeffs: tuple[float, float, float],
+                       weights: tuple[float, float, float] | None) -> float:
+    """Normalized residual of the unit-direction coefficients at the caustic
+    given by ``_residual_weights``."""
     t0, t1, t2 = coeffs
     scale0 = abs(t0) + abs(t1) + abs(t2)
     if scale0 == 0.0:
         return 0.0
-    if gamma is None:
+    if weights is None:
         return abs(t2) / scale0
-    g = abs(gamma)
-    scale = abs(t2) * max(1.0, g * g) + abs(t1) * max(1.0, g) + abs(t0)
-    return abs((t2 * gamma + t1) * gamma + t0) / scale
+    gamma, w2, w1 = weights
+    return abs((t2 * gamma + t1) * gamma + t0) / (abs(t2) * w2 + abs(t1) * w1 + abs(t0))
 
 
 def _line_hits_interior(p: Vec3, v: Vec3, ell: Ellipsoid) -> bool:

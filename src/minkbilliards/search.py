@@ -69,7 +69,7 @@ from .series import SeriesKind
 from .simulator import (
     PeriodSignature,
     Trajectory,
-    _lambda3_sweep_count,
+    _lambda3_event_count,
     _period,
     chasles_residual,
     parity_ok,
@@ -110,6 +110,15 @@ def _search_kind(case: CausticCase, n: int) -> SeriesKind | None:
     if 4 <= n <= 6 or (n % 2 and kind is None):
         return kind
     raise EmptyRangeError(f"period n={n} is not supported by the condition search (use 4, 5 or 6)")
+
+
+def _requested_kind(case: CausticCase, n: int) -> SeriesKind | None:
+    """``_search_kind`` for a period that a search or report asks for.  No
+    periodicity condition starts below n = 3, so such a period raises
+    EmptyRangeError instead of answering that the case has no branch."""
+    if n < 3:
+        raise EmptyRangeError(f"period n={n} is below 3, where no periodicity condition applies")
+    return _search_kind(case, n)
 
 
 @dataclass(frozen=True)
@@ -264,7 +273,7 @@ def find_periodic(spec: SearchSpec) -> list[PeriodicCandidate]:
             "periodicity conditions are two equations in the one unknown gamma1, so "
             "roots are non-generic; scan gamma1 with search.scan_singular_condition "
             "and check the second coefficient at each root")
-    kind = _search_kind(case, n)
+    kind = _requested_kind(case, n)
     if kind is None:
         return []    # no branch at n: odd n without odd periods, or n = 4 without B
     (g1lo, g1hi), (g2lo, g2hi) = _CASE_RECTS[case](ell)
@@ -357,7 +366,7 @@ def scan_singular_condition(a: tuple[float, float, float], case: CausticCase, n:
     """
     if case not in (CausticCase.DOUBLE, CausticCase.LIGHT):
         raise EmptyRangeError("the 1-D scan applies to the double and light-like cases")
-    kind = _search_kind(case, n)
+    kind = _requested_kind(case, n)
     if kind is None:
         return []
     lo, hi = g_range
@@ -560,13 +569,22 @@ class ValidationReport:
         stage, error = self.failures[-1]
         return f"{stage}: {error}"
 
+    def gates(self) -> list[tuple[str, object, object, bool]]:
+        """(name, value, bound, passed) of the six checks ``valid`` reads."""
+        conditions_ok = self.cayley_pass or self.condition_residual <= SEARCH_RESIDUAL_TOL
+        darboux = self.darboux_residuals
+        return [
+            ("conditions", self.condition_residual, SEARCH_RESIDUAL_TOL, conditions_ok),
+            ("closure", self.closure_error, CLOSURE_TOL, self.closure_error <= CLOSURE_TOL),
+            ("signature", self.signature, "a closed start", self.signature is not None),
+            ("parity", self.parity_pass, True, self.parity_pass),
+            ("signatures_agree", self.signatures_agree, True, self.signatures_agree),
+            ("darboux", darboux, CLOSURE_TOL, all(r <= CLOSURE_TOL for r in darboux)),
+        ]
+
     @property
     def valid(self) -> bool:
-        conditions_ok = self.cayley_pass or self.condition_residual <= SEARCH_RESIDUAL_TOL
-        darboux_ok = all(r <= CLOSURE_TOL for r in self.darboux_residuals)
-        return (conditions_ok and self.closure_error <= CLOSURE_TOL
-                and self.signature is not None and self.parity_pass
-                and self.signatures_agree and darboux_ok)
+        return all(passed for *_, passed in self.gates())
 
     def to_json_dict(self) -> dict:
         return {
@@ -614,7 +632,8 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
 
     Every start that closes must give the same (n, m1, n1); the report's
     signature is the first such start's, and its lam3 oscillation count n2
-    is swept on that start alone, once per report."""
+    is counted on that start alone, once per report.  Each gate of
+    ``ValidationReport.gates`` that fails is recorded as stage ``gate``."""
     case = classify_case(cp, ell)
     g2 = cp.gamma1 if cp.is_double else cp.gamma2    # snap the double caustic
     params = HyperellipticParams.from_floats(ell.a1, ell.a2, ell.a3, cp.gamma1,
@@ -634,7 +653,7 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
     except (BilliardError, ValueError) as exc:
         report.fail("cayley", exc)
     try:
-        kind = _search_kind(case, n)
+        kind = _requested_kind(case, n)
         if kind is None:
             report.fail("condition", f"case {case.value} has no condition branch at n={n}")
         else:
@@ -678,9 +697,9 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
         report.chasles_residual = max(chasles)
     if closed:
         # the starts must agree on (n, m1, n1); the report keeps the first
-        # closed start's signature, so only that start's lam3 is swept
+        # closed start's signature, so only that start's lam3 is counted
         (per, m1, n1), first = closed[0]
-        report.signature = PeriodSignature(per, m1, n1, _lambda3_sweep_count(first, per))
+        report.signature = PeriodSignature(per, m1, n1, _lambda3_event_count(first, per))
         report.signatures_agree = (len(closed) == len(closures)
                                    and all(p == closed[0][0] for p, _ in closed))
         report.parity_pass = parity_ok(report.signature, case)
@@ -690,7 +709,7 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
         sig = report.signature
         part = interval_partition(cp, ell)
         if case is CausticCase.DOUBLE:
-            # lam3 is pinned on the ruled caustic, so the sweep count cannot
+            # lam3 is pinned on the ruled caustic, so its count cannot
             # be read off the coordinate; infer it from the k=0 relation with
             # the vanishing-cycle limit integral and let k=1 check it
             try:
@@ -712,4 +731,13 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
                 residuals.append(math.inf)
                 report.fail("darboux", exc)
         report.darboux_residuals = (residuals[0], residuals[1])
+
+    # every failing gate is recorded once both sides have run.  A failed
+    # condition stage (no condition at this period) is itself the reason, and
+    # stays the last failure; without a traced start (starts=0, or every start
+    # failed and said why) the numeric gates judge nothing
+    if closures and all(stage != "condition" for stage, _ in report.failures):
+        for name, value, bound, passed in report.gates():
+            if not passed:
+                report.fail("gate", f"{name}: {value} vs {bound}")
     return report

@@ -15,11 +15,16 @@ Each stage of a bounce is a private kernel on plain float triples
 ``classify_surface_point`` and ``reflect_at`` wrap them, and ``trace`` runs
 them directly, building only the two ``Vec3`` a record keeps per bounce.
 Elliptic coordinates of a bounce point are computed when a record's
-``coords`` is read, not while tracing.  The lam3 sweep of ``detect_period``
-samples the segments as float triples through the coordinate kernel
-``confocal._coords``, which ``elliptic_coordinates`` wraps.  ``_period``
-finds the period without the sweep, for callers that sweep only one of
-several trajectories.
+``coords`` is read, not while tracing.
+
+The readers of a finished trajectory each make one pass over its records.
+``chasles_residual`` makes one ``confocal._tangency`` call per segment and
+takes each caustic's residual weights once.  ``_period`` finds the period
+and its bounce counts, normalizing a direction only where the position has
+returned; callers that need n2 for only one of several trajectories use it
+directly.  ``_lambda3_event_count`` gives n2 from the closed-form events of
+each segment (caustic tangencies and coordinate-plane crossings), sampling
+lam3 twice between consecutive events through ``confocal._coords``.
 """
 
 from __future__ import annotations
@@ -34,8 +39,9 @@ from .confocal import (
     Ellipsoid,
     EllipticCoords,
     _coords,
+    _residual_weights,
+    _tangency,
     _tangency_residual,
-    _unit_tangency,
     classify_case,
     elliptic_coordinates,
     line_caustics,
@@ -287,37 +293,64 @@ def chasles_residual(traj: Trajectory) -> float:
         return 0.0
     cp = traj.caustics
     ell = traj.ellipsoid
-    gammas = (cp.gamma1, cp.gamma2)
+    caustics = (_residual_weights(cp.gamma1), _residual_weights(cp.gamma2))
     worst = 0.0
-    segs = [(traj.start_point, traj.start_direction)]
-    segs += [(b.point, b.outgoing) for b in traj.bounces[:-1]]
-    for (sp, sv) in segs:
-        coeffs = _unit_tangency(sp, sv, ell)
-        for g in gammas:
-            worst = max(worst, _tangency_residual(coeffs, g))
+    # the segments leave the start and every bounce but the last
+    p, v = traj.start_point, traj.start_direction
+    for b in traj.bounces:
+        coeffs = _tangency(p.x1, p.x2, p.x3, *_unit(v.x1, v.x2, v.x3), ell)
+        for weights in caustics:
+            r = _tangency_residual(coeffs, weights)
+            if r > worst:    # as max(worst, r): a NaN residual keeps worst
+                worst = r
+        p, v = b.point, b.outgoing
     return worst
 
 
-def _lambda3_sweep_count(traj: Trajectory, n: int, samples_per_segment: int = 32) -> int:
+def _lambda3_event_count(traj: Trajectory, n: int) -> int:
     """Completed oscillations of the third elliptic coordinate over one period.
 
-    The coordinate turns only at its interval endpoints, so the number of
-    direction reversals of a densely sampled sequence equals the number of
-    endpoint touches; one full oscillation is two touches.  The samples are
-    float triples passed to the coordinate kernel ``confocal._coords``.
+    Along a segment x + t d, t in (0, 1), between consecutive bounces the
+    coordinates are monotone except at two kinds of event: the tangency with
+    a finite caustic Q_gamma at t* = -B/A, with A = sum d_i^2/D_i,
+    B = sum x_i d_i/D_i and D = (a1 - gamma, a2 - gamma, a3 + gamma), and
+    the crossing of a coordinate plane at t = -x_i/d_i.  lam3 is sampled
+    twice inside each sub-interval between the sorted events, through the
+    coordinate kernel ``confocal._coords``, so every turning point is a
+    direction reversal of the samples; one full oscillation is two.
     """
     ell = traj.ellipsoid
-    fracs = [(j + 0.5) / samples_per_segment for j in range(samples_per_segment)]
+    cp = traj.caustics
+    gammas = () if cp is None else (cp.gamma1, cp.gamma2)
+    # the light-like sentinel gamma2 touches at infinity: no finite event
+    denoms = [(ell.a1 - g, ell.a2 - g, ell.a3 + g) for g in gammas if g is not None]
+    denoms = [dd for dd in denoms if 0.0 not in dd]
     pts = [b.point for b in traj.bounces[:n + 1]]
     vals: list[float] = []
     for a, b in zip(pts, pts[1:]):
-        a1, a2, a3 = a.x1, a.x2, a.x3
-        d1, d2, d3 = b.x1 - a1, b.x2 - a2, b.x3 - a3
-        for s in fracs:
-            try:
-                vals.append(_coords(a1 + s * d1, a2 + s * d2, a3 + s * d3, ell)[2])
-            except BilliardError:
-                continue
+        x1, x2, x3 = a.x1, a.x2, a.x3
+        d1, d2, d3 = b.x1 - x1, b.x2 - x2, b.x3 - x3
+        events = [0.0]
+        for e1, e2, e3 in denoms:
+            aa = d1 * d1 / e1 + d2 * d2 / e2 + d3 * d3 / e3
+            if aa != 0.0:
+                t = -(x1 * d1 / e1 + x2 * d2 / e2 + x3 * d3 / e3) / aa
+                if 0.0 < t < 1.0:
+                    events.append(t)
+        for x, d in ((x1, d1), (x2, d2), (x3, d3)):
+            if d != 0.0:
+                t = -x / d
+                if 0.0 < t < 1.0:
+                    events.append(t)
+        events.sort()
+        events.append(1.0)
+        for lo, hi in zip(events, events[1:]):
+            w = (hi - lo) / 3.0
+            for s in (lo + w, hi - w):
+                try:
+                    vals.append(_coords(x1 + s * d1, x2 + s * d2, x3 + s * d3, ell)[2])
+                except BilliardError:
+                    continue
     if len(vals) < 3:
         return 0
     span = max(vals) - min(vals)
@@ -338,34 +371,34 @@ def _lambda3_sweep_count(traj: Trajectory, n: int, samples_per_segment: int = 32
 
 def _period(traj: Trajectory, tol: float) -> tuple[int, int, int] | None:
     """(n, m1, n1) of ``detect_period``'s signature, without the lam3
-    sweep; None when the trajectory does not close."""
+    count; None when the trajectory does not close.
+
+    A record's direction is normalized, and the tropic-twin test run, only
+    where its position already returns.  A twin (the second record of a
+    tropic event) repeats its predecessor, so past index 1 it closes only
+    after its predecessor has; at index 1 the test keeps it from closing
+    against the record it repeats."""
     if traj.error is not None or not traj.bounces:
         return None
-    ell = traj.ellipsoid
-    scale = ell.scale()
     recs = traj.bounces
-
-    def state(i: int) -> tuple[Vec3, tuple[float, float, float]]:
-        o = recs[i].outgoing
-        return recs[i].point, _unit(o.x1, o.x2, o.x3)
-
-    def is_dual_twin(i: int) -> bool:
-        # second record of a tropic event: same point and outgoing as its pair
-        return (i > 0 and recs[i].point == recs[i - 1].point
-                and recs[i].outgoing == recs[i - 1].outgoing)
-
-    p0, (d1, d2, d3) = state(0)
+    reach = tol * traj.ellipsoid.scale()
+    p0, o = recs[0].point, recs[0].outgoing
+    x1, x2, x3 = p0.x1, p0.x2, p0.x3
+    d1, d2, d3 = _unit(o.x1, o.x2, o.x3)
     for n in range(1, len(recs)):
-        if is_dual_twin(n):
-            continue
-        pn, (e1, e2, e3) = state(n)
-        dp = math.sqrt((pn.x1 - p0.x1) ** 2 + (pn.x2 - p0.x2) ** 2 + (pn.x3 - p0.x3) ** 2)
-        dd = math.sqrt((e1 - d1) ** 2 + (e2 - d2) ** 2 + (e3 - d3) ** 2)
-        if dp <= tol * scale and dd <= tol:
-            m1 = sum(1 for r in recs[:n]
-                     if r.component in (_CAP_NORTH, _CAP_SOUTH))
-            n1 = sum(1 for r in recs[:n] if r.component is _BELT)
-            return n, m1, n1
+        rec = recs[n]
+        p = rec.point
+        if math.sqrt((p.x1 - x1) ** 2 + (p.x2 - x2) ** 2 + (p.x3 - x3) ** 2) <= reach:
+            prev = recs[n - 1]
+            if p == prev.point and rec.outgoing == prev.outgoing:
+                continue
+            o = rec.outgoing
+            e1, e2, e3 = _unit(o.x1, o.x2, o.x3)
+            if math.sqrt((e1 - d1) ** 2 + (e2 - d2) ** 2 + (e3 - d3) ** 2) <= tol:
+                head = recs[:n]
+                m1 = sum(1 for r in head if r.component in (_CAP_NORTH, _CAP_SOUTH))
+                n1 = sum(1 for r in head if r.component is _BELT)
+                return n, m1, n1
     return None
 
 
@@ -375,13 +408,13 @@ def detect_period(traj: Trajectory, tol: float = RETURN_TOL_DEFAULT) -> PeriodSi
     Returns the signature (n, m1, n1, n2): cap bounces, belt bounces (tropic
     events already appear as one of each in the record list) and the number
     of completed lam3 oscillations over the period.  The period and its
-    bounce counts come from ``_period``; only n2 needs the lam3 sweep.
+    bounce counts come from ``_period``; only n2 needs the lam3 event count.
     """
     period = _period(traj, tol)
     if period is None:
         return None
     n, m1, n1 = period
-    return PeriodSignature(n, m1, n1, _lambda3_sweep_count(traj, n))
+    return PeriodSignature(n, m1, n1, _lambda3_event_count(traj, n))
 
 
 # parity constraints per case, from the winding-count structure of the proof:

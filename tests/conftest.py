@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from minkbilliards import Ellipsoid, LineType, Vec3, mink_dot, trace
+from minkbilliards import Ellipsoid, LineType, Vec3, elliptic_coordinates, mink_dot, trace
+from minkbilliards.errors import BilliardError
 from minkbilliards.simulator import surface_normal
 
 # trajectories approaching the tropic curve closer than this (relative
@@ -62,3 +63,39 @@ def admissible_trace(rng: random.Random, ell: Ellipsoid, linetype: LineType,
         if t.error is None and len(t.bounces) == bounces and tropic_margin(t) >= margin:
             return t
     raise AssertionError("could not sample an admissible start")
+
+
+def ref_lambda3_sweep_count(traj, n: int, samples_per_segment: int = 32) -> int:
+    """The lam3 sweep through checked ``Vec3`` samples and the public
+    ``elliptic_coordinates``, as it ran before the float kernel."""
+    ell = traj.ellipsoid
+    vals = []
+    for k in range(n):
+        a = traj.bounces[k].point
+        bpt = traj.bounces[k + 1].point if k + 1 < len(traj.bounces) else None
+        if bpt is None:
+            break
+        for j in range(samples_per_segment):
+            s = (j + 0.5) / samples_per_segment
+            q = Vec3(a.x1 + s * (bpt.x1 - a.x1), a.x2 + s * (bpt.x2 - a.x2),
+                     a.x3 + s * (bpt.x3 - a.x3))
+            try:
+                vals.append(elliptic_coordinates(q, ell).lam3)
+            except BilliardError:
+                continue
+    if len(vals) < 3:
+        return 0
+    span = max(vals) - min(vals)
+    if span <= 1e-9 * max(ell.a1, ell.a3):
+        return 0
+    reversals = 0
+    prev_sign = 0
+    for i in range(1, len(vals)):
+        d = vals[i] - vals[i - 1]
+        if abs(d) <= 1e-14:
+            continue
+        sgn = 1 if d > 0 else -1
+        if prev_sign != 0 and sgn != prev_sign:
+            reversals += 1
+        prev_sign = sgn
+    return (reversals + 1) // 2

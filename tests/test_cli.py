@@ -142,6 +142,22 @@ def test_find_periodic_cli_odd_period_past_six(tmp_path, capsys):
     assert "n=7" in err
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
+def test_find_periodic_cli_period_below_three(tmp_path, capsys, n):
+    # no periodicity condition starts below n = 3, so such a period is a
+    # violated precondition; at n = 3 S1 has no branch, an empty search
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": n, "grid": 8,
+    }))
+    code, out, err = run(capsys, "find-periodic", "--spec", str(spec))
+    if n < 3:
+        assert code == 2 and out == ""
+        assert f"n={n} is below 3" in err
+    else:
+        assert code == 1 and json.loads(out) == []
+
+
 @pytest.mark.parametrize("command", ["find-periodic", "cross-validate"])
 @pytest.mark.parametrize("field", [{"grid": 0}, {"grid": 1}, {"refine_tol": 0}])
 def test_search_cli_refuses_a_degenerate_spec(tmp_path, capsys, command, field):

@@ -42,7 +42,7 @@ from minkbilliards.search import (
     scan_singular_condition,
 )
 from minkbilliards.series import SeriesKind
-from conftest import admissible_trace
+from conftest import admissible_trace, ref_lambda3_sweep_count
 
 
 def test_find_periodic_s1_n4(e421):
@@ -422,11 +422,62 @@ def test_cross_validate_names_a_missing_branch(e421, cp, n):
     assert rep.condition_residual == float("inf") and not rep.valid
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
+def test_periods_below_three_raise(e421, n):
+    # below n = 3 no periodicity condition starts: the searches raise and a
+    # report records a condition failure; n = 3 is a period at which S1 has
+    # no branch, so the search is empty
+    spec = SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, n, grid=8)
+    rep = cross_validate(e421, CausticPair(1.0, -0.5, LineType.SPACELIKE, -1), n)
+    if n < 3:
+        with pytest.raises(EmptyRangeError, match=f"n={n} is below 3"):
+            find_periodic(spec)
+        with pytest.raises(EmptyRangeError, match=f"n={n} is below 3"):
+            scan_singular_condition((4.0, 2.0, 1.0), CausticCase.LIGHT, n, (0.05, 1.95))
+        assert rep.failure_stage == f"condition: period n={n} is below 3, where no " \
+                                    "periodicity condition applies"
+    else:
+        assert find_periodic(spec) == []
+        assert rep.failure_stage == "condition: case S1 has no condition branch at n=3"
+    assert not rep.valid
+
+
+@pytest.mark.parametrize("g1,g2,n", [(1.409901832, -0.998751589, 5),
+                                     (1.925821435, -0.703266336, 6)])
+def test_cross_validate_records_every_failed_gate(e421, g1, g2, n):
+    # two S1 roots off the searched branch: every stage runs, the searched
+    # branch's residual misses its bound, and the report says so
+    rep = cross_validate(e421, CausticPair(g1, g2, LineType.SPACELIKE, -1), n)
+    assert not rep.valid
+    assert rep.closure_error <= search.CLOSURE_TOL and rep.signature.n == n
+    assert rep.failures == [("gate", f"conditions: {rep.condition_residual} vs 1e-09")]
+    assert rep.condition_residual > 0.1
+    assert [name for name, *_, passed in rep.gates() if not passed] == ["conditions"]
+    assert rep.to_json_dict()["failures"] == [{"stage": "gate", "error": rep.failures[0][1]}]
+
+
 def test_cross_validate_without_failures(e421):
     ell = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
     rep = cross_validate(ell, CausticPair(0.75, -3.0, LineType.SPACELIKE, -1), 4)
     assert rep.failures == [] and rep.failure_stage is None
     assert rep.to_json_dict()["failures"] == []
+
+
+def test_event_count_leaves_every_search_report_unchanged(e421, monkeypatch):
+    # every candidate of the search benchmark (the specs that scan a grid, at
+    # grids 32 and 128) gets the report that the lam3 sweep at 32 samples per
+    # segment gave, repr for repr
+    pairs = []
+    for (case, n), grid in itertools.product(_SEARCHED, (32, 128)):
+        for c in find_periodic(SearchSpec((4.0, 2.0, 1.0), case, n, grid=grid)):
+            if case.value.startswith("S"):
+                pairs.append((CausticPair(c.gamma1, c.gamma2, LineType.SPACELIKE, -1), n))
+            else:
+                pairs.append((CausticPair(c.gamma1, c.gamma2, LineType.TIMELIKE, +1), n))
+    assert len(pairs) == 16
+    got = [repr(cross_validate(e421, cp, n)) for cp, n in pairs]
+    monkeypatch.setattr(search, "_lambda3_event_count", ref_lambda3_sweep_count)
+    assert [repr(cross_validate(e421, cp, n)) for cp, n in pairs] == got
 
 
 @pytest.mark.parametrize("case", [CausticCase.DOUBLE, CausticCase.LIGHT])

@@ -40,9 +40,14 @@ from minkbilliards.simulator import (
     RETURN_TOL_DEFAULT,
     TROPIC_TOL,
     PeriodSignature,
-    _lambda3_sweep_count,
+    _lambda3_event_count,
 )
-from conftest import admissible_trace, random_direction, random_interior_point
+from conftest import (
+    admissible_trace,
+    random_direction,
+    random_interior_point,
+    ref_lambda3_sweep_count,
+)
 
 
 def tropic_point(e421) -> Vec3:
@@ -187,24 +192,30 @@ def test_axial_period_two(e421):
     assert comps == {SurfaceComponent.CAP_NORTH, SurfaceComponent.CAP_SOUTH}
 
 
-def test_tropic_dual_count_convention(e421):
-    # A tropic event enters the record list as one cap plus one belt record at
-    # the same point, so it contributes 2 to the period and 1 to each of
-    # m1, n1.  (Genuine interior chords never reach the extension parallel to
-    # the in-plane normal -- that ray is tangent -- so the records are built
-    # synthetically here to pin the counting convention.)
+def _tropic_first_trajectory(e421):
+    """Records whose first bounce is a tropic event, so that record 1 is the
+    twin of record 0, then one pole bounce and the tropic event again."""
     from minkbilliards.simulator import BounceRecord, Trajectory
     p = tropic_point(e421)
     up = Vec3(0.0, 0.0, 1.0)
     rec = lambda comp, pt, out: BounceRecord(pt, up, out, comp, 1.0, e421)
-    pole_n, pole_s = Vec3(0, 0, 1), Vec3(0, 0, -1)
-    t = Trajectory(Vec3(0, 0, 0), up, e421, bounces=[
+    pole_s = Vec3(0, 0, -1)
+    return Trajectory(Vec3(0, 0, 0), up, e421, bounces=[
         rec(SurfaceComponent.CAP_NORTH, p, -1.0 * up),
         rec(SurfaceComponent.BELT, p, -1.0 * up),
         rec(SurfaceComponent.CAP_SOUTH, pole_s, up),
         rec(SurfaceComponent.CAP_NORTH, p, -1.0 * up),
         rec(SurfaceComponent.BELT, p, -1.0 * up),
     ])
+
+
+def test_tropic_dual_count_convention(e421):
+    # A tropic event enters the record list as one cap plus one belt record at
+    # the same point, so it contributes 2 to the period and 1 to each of
+    # m1, n1.  (Genuine interior chords never reach the extension parallel to
+    # the in-plane normal -- that ray is tangent -- so the records are built
+    # synthetically here to pin the counting convention.)
+    t = _tropic_first_trajectory(e421)
     sig = detect_period(t)
     assert sig is not None
     assert (sig.n, sig.m1, sig.n1) == (3, 2, 1)
@@ -475,7 +486,7 @@ def _ref_detect_period(traj, tol: float = RETURN_TOL_DEFAULT):
             m1 = sum(1 for r in recs[:n]
                      if r.component in (SurfaceComponent.CAP_NORTH, SurfaceComponent.CAP_SOUTH))
             n1 = sum(1 for r in recs[:n] if r.component is SurfaceComponent.BELT)
-            return PeriodSignature(n, m1, n1, _lambda3_sweep_count(traj, n))
+            return PeriodSignature(n, m1, n1, _lambda3_event_count(traj, n))
     return None
 
 
@@ -577,57 +588,120 @@ def test_reflection_keeps_the_product_check():
     assert str(got.value) == str(ref.value)
 
 
-def _ref_lambda3_sweep_count(traj, n: int, samples_per_segment: int = 32) -> int:
-    """The lam3 sweep through checked ``Vec3`` samples and the public
-    ``elliptic_coordinates``, as it ran before the float kernel."""
-    ell = traj.ellipsoid
-    vals = []
-    for k in range(n):
-        a = traj.bounces[k].point
-        bpt = traj.bounces[k + 1].point if k + 1 < len(traj.bounces) else None
-        if bpt is None:
-            break
-        for j in range(samples_per_segment):
-            s = (j + 0.5) / samples_per_segment
-            q = Vec3(a.x1 + s * (bpt.x1 - a.x1), a.x2 + s * (bpt.x2 - a.x2),
-                     a.x3 + s * (bpt.x3 - a.x3))
-            try:
-                vals.append(elliptic_coordinates(q, ell).lam3)
-            except BilliardError:
+def _lambda3_events(traj, n: int) -> list[list[float]]:
+    """Per segment between the first n + 1 bounces, the sorted parameters
+    t in (0, 1) of its caustic tangencies and coordinate-plane crossings."""
+    ell, cp = traj.ellipsoid, traj.caustics
+    gammas = [g for g in (cp.gamma1, cp.gamma2) if g is not None]
+    pts = [b.point for b in traj.bounces[:n + 1]]
+    out = []
+    for a, b in zip(pts, pts[1:]):
+        x, d = a.as_tuple(), (b - a).as_tuple()
+        ts = [-xi / di for xi, di in zip(x, d) if di != 0.0]
+        for g in gammas:
+            dens = (ell.a1 - g, ell.a2 - g, ell.a3 + g)
+            if 0.0 in dens:
                 continue
-    if len(vals) < 3:
-        return 0
-    span = max(vals) - min(vals)
-    if span <= 1e-9 * max(ell.a1, ell.a3):
-        return 0
-    reversals = 0
-    prev_sign = 0
-    for i in range(1, len(vals)):
-        d = vals[i] - vals[i - 1]
-        if abs(d) <= 1e-14:
-            continue
-        sgn = 1 if d > 0 else -1
-        if prev_sign != 0 and sgn != prev_sign:
-            reversals += 1
-        prev_sign = sgn
-    return (reversals + 1) // 2
+            aa = sum(di * di / e for di, e in zip(d, dens))
+            bb = sum(xi * di / e for xi, di, e in zip(x, d, dens))
+            if aa != 0.0:
+                ts.append(-bb / aa)
+        out.append(sorted(t for t in ts if 0.0 < t < 1.0))
+    return out
+
+
+def _events_apart(traj, n: int, gap: float) -> bool:
+    """Whether every segment's events lie at least ``gap`` apart and from
+    the segment ends."""
+    for ts in _lambda3_events(traj, n):
+        ends = [0.0, *ts, 1.0]
+        if any(hi - lo < gap for lo, hi in zip(ends, ends[1:])):
+            return False
+    return True
+
+
+DENSE_SAMPLES = 2048    # two samples inside any sub-interval of width >= 1e-3
 
 
 def test_lambda3_sweep_matches_vec3_reference(e421):
-    # the float sweep counts what the Vec3 sweep counted, on non-periodic
-    # traces of every line type and on the starts of the reference loop
-    # (axial and tropic ones included), at prefixes up to past their end
+    # the event count equals the Vec3 sweep at a dense sample count on
+    # non-periodic traces of every line type and on the starts of the
+    # reference loop (axial and tropic ones included), over 4 bounces or to
+    # past the end of a shorter trace, wherever the events lie >= 1e-3 apart
+    # and from the segment ends, so that the dense sweep sees every turning
+    # point; the counts themselves cover prefixes up to past the end
     rng = random.Random(44)
     trajs = [admissible_trace(rng, e421, lt, 40)
              for lt in (LineType.SPACELIKE, LineType.TIMELIKE, LineType.LIGHTLIKE)
              for _ in range(2)]
     trajs += [trace(p, v, ell, bounces) for ell, p, v, bounces in _REFERENCE_STARTS]
-    counts = set()
+    counts, compared = set(), 0
     for traj in trajs:
-        ends = (len(traj.bounces) + 3,) if len(traj.bounces) <= 40 else ()
-        for n in (0, 1, 2, 5, 13, 30) + ends:
-            got = _lambda3_sweep_count(traj, n)
-            assert got == _ref_lambda3_sweep_count(traj, n), (traj.start_point, n)
-            counts.add(got)
-        assert _lambda3_sweep_count(traj, 5, 5) == _ref_lambda3_sweep_count(traj, 5, 5)
-    assert len(counts) > 5
+        for n in (0, 1, 2, 5, 13, 30, len(traj.bounces) + 3):
+            counts.add(_lambda3_event_count(traj, n))
+        if traj.caustics is not None and _events_apart(traj, 4, 1e-3):
+            got = _lambda3_event_count(traj, 4)
+            assert got == ref_lambda3_sweep_count(traj, 4, DENSE_SAMPLES), traj.start_point
+            compared += 1
+    assert len(counts) > 5 and compared > 25
+
+
+def _long_traces():
+    """200-bounce admissible traces of each line type, and the synthetic
+    trajectory whose record 1 is a tropic twin, with caustics attached."""
+    e421 = Ellipsoid(4.0, 2.0, 1.0)
+    rng = random.Random(46)
+    trajs = [admissible_trace(rng, e421, lt, 200)
+             for lt in (LineType.SPACELIKE, LineType.TIMELIKE, LineType.LIGHTLIKE)]
+    twin = _tropic_first_trajectory(e421)
+    twin.caustics = line_caustics(twin.bounces[2].point, Vec3(1.0, 0.3, 2.0), e421)
+    return trajs + [twin]
+
+
+@pytest.mark.parametrize("traj", _long_traces(), ids=["space", "time", "light", "tropic twin"])
+def test_readers_match_the_reference_bit_for_bit(traj):
+    # the one-pass Chasles residual and period scan return the reference
+    # values; the loose tolerances make the scan close on records far from
+    # the start, and at index 1 only the twin test keeps the tropic event
+    # from closing against itself
+    assert repr(chasles_residual(traj)) == repr(_ref_chasles_residual(traj))
+    assert chasles_residual(traj) > 0.0
+    closed = 0
+    for tol in (RETURN_TOL_DEFAULT, 1e-9, 0.05, 0.3, 1.0):
+        sig = detect_period(traj, tol)
+        assert sig == _ref_detect_period(traj, tol)
+        closed += sig is not None
+    assert closed
+
+
+def test_lambda3_event_count_sees_a_turn_next_to_a_bounce():
+    # reference start 6 (T4): its segment from bounce 0 crosses x1 = 0 at
+    # t = 1.15e-4, where lam3 reaches a1 and turns.  The sweeps at 32 and
+    # 8192 samples per segment put at most one sample before the turn and
+    # see lam3 fall monotonically from it; the event count samples twice on
+    # either side
+    ell, p, v, bounces = _REFERENCE_STARTS[6]
+    traj = trace(p, v, ell, bounces)
+    assert traj.case is CausticCase.T4
+    a, b = traj.bounces[0].point, traj.bounces[1].point
+    tc = -a.x1 / (b.x1 - a.x1)
+    assert 1.1e-4 < tc < 1.2e-4
+
+    def lam3(t):
+        return elliptic_coordinates(a + t * (b - a), ell).lam3
+
+    assert lam3(tc / 4) < lam3(tc / 2) < lam3(3 * tc / 4)          # rises to the crossing
+    assert lam3(5 * tc / 4) > lam3(3 * tc / 2) > lam3(7 * tc / 4)  # and falls after it
+    assert ref_lambda3_sweep_count(traj, 1) == ref_lambda3_sweep_count(traj, 1, 8192) == 0
+    assert _lambda3_event_count(traj, 1) == 1
+
+
+def test_exact_four_periodic_set_counts_two_lambda3_oscillations():
+    # a = (1, 6/7, 6), gamma = (3/4, -3): every tangent line closes after 4
+    # bounces with signature (4, 1, 3, 2)
+    ell = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
+    cp = CausticPair(0.75, -3.0, LineType.SPACELIKE, -1)
+    for k in range(8):
+        p, v = tangent_line_for_caustics(ell, cp, seed=k)
+        assert detect_period(trace(p, v, ell, 12)) == PeriodSignature(4, 1, 3, 2)
+
