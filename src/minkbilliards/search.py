@@ -612,8 +612,9 @@ class ValidationReport:
 
 
 def closure_error_at(traj: Trajectory, n: int) -> float:
-    """Phase-space mismatch between bounce n and bounce 0."""
-    if len(traj.bounces) <= n:
+    """Phase-space mismatch between bounce n and bounce 0; inf when n < 1,
+    where no bounce closes the orbit, or the trajectory has no bounce n."""
+    if n < 1 or len(traj.bounces) <= n:
         return math.inf
     p0, pn = traj.bounces[0], traj.bounces[n]
     d0 = p0.outgoing.euclid_normalized()
@@ -673,11 +674,12 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
             report.pell_certificate = sol
             break
 
-    # numeric side: several distinct starting tangent lines, same caustics
+    # numeric side: several distinct starting tangent lines, same caustics;
+    # below n = 3 the condition failure is the reason, and nothing is traced
     closed: list[tuple[tuple[int, int, int], Trajectory]] = []    # (n, m1, n1), start
     closures: list[float] = []
     chasles: list[float] = []
-    for k in range(starts):
+    for k in range(starts if n >= 3 else 0):
         try:
             x, v = tangent_line_for_caustics(ell, cp, seed=k)
         except NoConvergenceError as exc:

@@ -18,7 +18,10 @@ ever enters a Fraction series.
 Exact ranks and nullspaces carry a modular certificate.  A rational matrix
 whose entries are p-integral has rank mod p at most its rank over Q, so full
 rank mod p proves full rank over Q; that decides the common NOT-SATISFIED
-verdict in word-sized arithmetic.  Every other case (deficient mod p, a
+verdict on plain Python ints.  On residues the square-root recurrence sums
+its products as ints and reduces once per coefficient, and the elimination
+mod p updates only the columns right of each pivot and reduces an entry
+only when it reads it.  Every other case (deficient mod p, a
 denominator divisible by p) falls back to fraction-free Bareiss elimination
 or the exact Gauss-Jordan nullspace.  A series built from ``ModP`` input is
 the reduction of the exact one as long as every division is by a p-unit;
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -164,23 +168,42 @@ def _not_one(c) -> bool:
     return bool(ne.any()) if hasattr(ne, "any") else bool(ne)
 
 
+def _sum_of_products(s: list, k: int, zero):
+    """sum_{i=1}^{k-1} s_i s_{k-i}, the convolution term of ``series_sqrt``.
+
+    Residues are summed as plain ints and reduced once; that arithmetic is
+    exact, so the symmetric terms s_i s_{k-i} = s_{k-i} s_i are paired.
+    """
+    if type(zero) is ModP:
+        v = [x.v for x in s[:k]]
+        h = (k - 1) // 2
+        acc = 2 * sum(map(operator.mul, v[1:h + 1], v[k - 1:k - 1 - h:-1]))
+        if k % 2 == 0:
+            acc += v[k // 2] * v[k // 2]
+        return _modp(acc % MODULUS)
+    # an explicit loop, not sum(): from Python 3.12 sum() of floats is
+    # compensated, which would round scalars and arrays differently
+    acc = zero
+    for i in range(1, k):
+        acc = acc + s[i] * s[k - i]
+    return acc
+
+
 def series_sqrt(f: list[Fraction], order: int) -> list[Fraction]:
     """Coefficients of sqrt(f) through the given order; requires f[0] = 1.
 
     Recurrence from squaring: 2 s_k = f_k - sum_{i=1}^{k-1} s_i s_{k-i}.
+    Halving is a multiplication by f[0] / 2, computed once: an exact scaling
+    on floats and arrays, and one modular inverse per series on residues.
     """
     if not f or _not_one(f[0]):
         raise ValueError("series_sqrt requires constant term 1")
     zero = f[0] - f[0]
+    half = f[0] / 2
     s = [f[0]] + [zero] * order
     for k in range(1, order + 1):
         fk = f[k] if k < len(f) else zero
-        # an explicit loop, not sum(): from Python 3.12 sum() of floats is
-        # compensated, which would round scalars and arrays differently
-        acc = zero
-        for i in range(1, k):
-            acc = acc + s[i] * s[k - i]
-        s[k] = (fk - acc) / 2
+        s[k] = (fk - _sum_of_products(s, k, zero)) * half
     return s
 
 
@@ -300,27 +323,36 @@ def matrix_rank_fraction_free(rows_in: list[list[Fraction]]) -> int:
 
 def rank_mod_p(rows_in: list[list]) -> int | None:
     """Rank over GF(p) of a matrix of ints, Fractions or ModP residues, by
-    Gaussian elimination on word-sized ints; None when an entry has a
-    denominator divisible by p, so the matrix has no reduction."""
+    Gaussian elimination on Python ints; None when an entry has a
+    denominator divisible by p, so the matrix has no reduction.
+
+    The elimination is lazy: each step keeps only the columns right of the
+    pivot, and an entry is reduced mod p only when it is tested for zero or
+    made a pivot or a row multiplier.  The pivot row is reduced and
+    normalized once, so an update x - f y adds less than p^2 to x, and the
+    entries stay a few words long between pivots.
+    """
     try:
-        m = [[_residue(x) for x in row] for row in rows_in]
+        rows = [[x.v if type(x) is ModP else _residue(x) for x in row] for row in rows_in]
     except NonUnitError:
         return None
-    nrows = len(m)
     rank = 0
-    for c in range(len(m[0]) if m else 0):
-        piv = next((r for r in range(rank, nrows) if m[r][c] != 0), None)
+    # ``rows`` holds the rows not yet pivoted, each from the current column on
+    for _ in range(len(rows[0]) if rows else 0):
+        piv = next((i for i, row in enumerate(rows) if row[0] % MODULUS), None)
         if piv is None:
+            rows = [row[1:] for row in rows]
             continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][c], -1, MODULUS)
-        prow = [x * inv % MODULUS for x in m[rank]]
-        for r in range(rank + 1, nrows):
-            f = m[r][c]
-            if f != 0:
-                m[r] = [(x - f * y) % MODULUS for x, y in zip(m[r], prow)]
+        prow = rows.pop(piv)
+        inv = pow(prow[0] % MODULUS, -1, MODULUS)
+        prow = [x * inv % MODULUS for x in prow[1:]]
+        new = []
+        for row in rows:
+            f = row[0] % MODULUS
+            new.append([x - f * y for x, y in zip(row[1:], prow)] if f else row[1:])
+        rows = new
         rank += 1
-        if rank == nrows:
+        if not rows:
             break
     return rank
 
@@ -407,30 +439,3 @@ def nullspace(rows_in: list[list[Fraction]], ncols: int) -> list[list[Fraction]]
         basis.append(vec)
     return basis
 
-
-def rank_by_minors(rows_in: list[list[Fraction]]) -> int:
-    """Exhaustive-minor rank (oracle; exponential, for small blocks only)."""
-    from itertools import combinations
-
-    if not rows_in or not rows_in[0]:
-        return 0
-    nrows, ncols = len(rows_in), len(rows_in[0])
-
-    def det(idx_r: tuple[int, ...], idx_c: tuple[int, ...]) -> Fraction:
-        k = len(idx_r)
-        if k == 1:
-            return rows_in[idx_r[0]][idx_c[0]]
-        total = Fraction(0)
-        sign = 1
-        for j in range(k):
-            sub = det(idx_r[1:], idx_c[:j] + idx_c[j + 1:])
-            total += sign * rows_in[idx_r[0]][idx_c[j]] * sub
-            sign = -sign
-        return total
-
-    for k in range(min(nrows, ncols), 0, -1):
-        for ir in combinations(range(nrows), k):
-            for ic in combinations(range(ncols), k):
-                if det(ir, ic) != 0:
-                    return k
-    return 0

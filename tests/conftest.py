@@ -2,6 +2,8 @@
 
 import math
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -99,3 +101,29 @@ def ref_lambda3_sweep_count(traj, n: int, samples_per_segment: int = 32) -> int:
             reversals += 1
         prev_sign = sgn
     return (reversals + 1) // 2
+
+
+def rank_by_minors(rows_in: list[list[Fraction]]) -> int:
+    """Exhaustive-minor rank (oracle; exponential, for small blocks only)."""
+    if not rows_in or not rows_in[0]:
+        return 0
+    nrows, ncols = len(rows_in), len(rows_in[0])
+
+    def det(idx_r: tuple[int, ...], idx_c: tuple[int, ...]) -> Fraction:
+        k = len(idx_r)
+        if k == 1:
+            return rows_in[idx_r[0]][idx_c[0]]
+        total = Fraction(0)
+        sign = 1
+        for j in range(k):
+            sub = det(idx_r[1:], idx_c[:j] + idx_c[j + 1:])
+            total += sign * rows_in[idx_r[0]][idx_c[j]] * sub
+            sign = -sign
+        return total
+
+    for k in range(min(nrows, ncols), 0, -1):
+        for ir in combinations(range(nrows), k):
+            for ic in combinations(range(ncols), k):
+                if det(ir, ic) != 0:
+                    return k
+    return 0

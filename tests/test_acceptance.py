@@ -47,12 +47,8 @@ from minkbilliards.search import (
     scan_singular_condition,
     _newton_batch,
 )
-from minkbilliards.series import (
-    SeriesKind,
-    matrix_rank_fraction_free,
-    rank_by_minors,
-)
-from conftest import admissible_trace, random_interior_point
+from minkbilliards.series import SeriesKind, matrix_rank_fraction_free
+from conftest import admissible_trace, random_interior_point, rank_by_minors
 
 E421 = Ellipsoid(4.0, 2.0, 1.0)
 

@@ -242,6 +242,18 @@ def test_rationalized_pairs_not_satisfied_modularly(n, caplog):
         assert all(r.decision["coeff_bits"] is None for r in caplog.records)
 
 
+def test_large_period_not_satisfied_modularly(caplog):
+    # S1 at n = 64: blocks of 32 rows, each decided by full rank mod p
+    params = HyperellipticParams.from_floats(4, 2, 1, 1.234567, -0.456789)
+    with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+        verdict = cayley_test(params, CausticCase.S1, 64)
+        decisions = len(caplog.records)
+        sols = [solve_pell(params, 64, v) for v in (PellVariant.EVEN_A, PellVariant.EVEN_B)]
+    assert verdict is False and decisions > 0
+    assert sols == [None, None]
+    assert _paths(caplog) == {"modular"}
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_satisfied_verdicts_come_from_the_exact_path(n, caplog):
     with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):

@@ -436,10 +436,23 @@ def test_periods_below_three_raise(e421, n):
             scan_singular_condition((4.0, 2.0, 1.0), CausticCase.LIGHT, n, (0.05, 1.95))
         assert rep.failure_stage == f"condition: period n={n} is below 3, where no " \
                                     "periodicity condition applies"
+        # nothing is traced, so no closure is measured, not even bounce 0
+        # against itself (n = 0) or the last bounce against the first (n = -1)
+        if n < 1:
+            assert rep.closure_error == float("inf")
     else:
         assert find_periodic(spec) == []
         assert rep.failure_stage == "condition: case S1 has no condition branch at n=3"
     assert not rep.valid
+
+
+def test_closure_below_one_bounce_is_infinite(e421):
+    # bounce 0 against itself, or a negative index read from the end, is no
+    # closure; bounce 1 against bounce 0 is a finite mismatch
+    x, v = tangent_line_for_caustics(e421, CausticPair(1.0, -0.5, LineType.SPACELIKE, -1), seed=0)
+    traj = trace(x, v, e421, max_bounces=6)
+    assert closure_error_at(traj, 0) == closure_error_at(traj, -1) == float("inf")
+    assert math.isfinite(closure_error_at(traj, 1))
 
 
 @pytest.mark.parametrize("g1,g2,n", [(1.409901832, -0.998751589, 5),

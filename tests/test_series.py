@@ -21,12 +21,12 @@ from minkbilliards.series import (
     normalized_branch_poly,
     nullspace,
     poly_mul_frac,
-    rank_by_minors,
     rank_mod_p,
     series_div,
     series_mul,
     series_sqrt,
 )
+from conftest import rank_by_minors
 
 
 def test_series_sqrt_squares_back():
@@ -241,6 +241,96 @@ def test_rank_mod_p_is_rank_of_the_reduction():
     assert rank_mod_p([[F(1, 3), F(2, 3)], [F(1), F(2)]]) == 1
     assert rank_mod_p([[ModP(F(1, 3)), ModP(F(2, 5))], [ModP(1), ModP(0)]]) == 2
     assert rank_mod_p([[F(1, MODULUS)]]) is None
+
+
+def test_rank_mod_p_tests_reduced_values_for_zero():
+    # 1 - 2 (p+1)/2 = -p is a nonzero int but zero mod p
+    assert rank_mod_p([[1, (MODULUS + 1) // 2], [2, 1]]) == 1
+    assert rank_mod_p([[1, (MODULUS + 1) // 2, 0], [2, 1, 0], [0, MODULUS + 3, 3]]) == 2
+
+
+def _eager_rank_mod_p(rows_in):
+    """Oracle for ``rank_mod_p``: Gaussian elimination mod p that reduces
+    every entry of every row update, over whole rows."""
+    m = [[x % MODULUS for x in row] for row in rows_in]
+    nrows = len(m)
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, nrows) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, MODULUS)
+        prow = [x * inv % MODULUS for x in m[rank]]
+        for r in range(rank + 1, nrows):
+            f = m[r][c]
+            if f != 0:
+                m[r] = [(x - f * y) % MODULUS for x, y in zip(m[r], prow)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+_RESIDUE_ENTRY = st.one_of(st.sampled_from([0, 1, MODULUS - 1, MODULUS, MODULUS + 1]),
+                           st.integers(0, 2 ** 61 - 1))
+
+
+@st.composite
+def int_matrices(draw):
+    """Int matrices up to 8 x 8 with entries at and around p, some rows
+    combinations of others so that deficient ranks are common."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    m = []
+    for _ in range(rows):
+        if m and draw(st.booleans()):
+            picks = draw(st.lists(st.tuples(st.integers(0, len(m) - 1), _RESIDUE_ENTRY),
+                                  min_size=1, max_size=3))
+            m.append([sum(c * m[i][j] for i, c in picks) for j in range(cols)])
+        else:
+            m.append([draw(_RESIDUE_ENTRY) for _ in range(cols)])
+    order = draw(st.permutations(range(rows)))
+    return [m[i] for i in order]
+
+
+@given(int_matrices())
+def test_rank_mod_p_matches_eager_elimination(m):
+    assert rank_mod_p(m) == _eager_rank_mod_p(m)
+    assert rank_mod_p([[ModP(x) for x in row] for row in m]) == _eager_rank_mod_p(m)
+
+
+def _sqrt_by_halving(f, order):
+    """The square-root recurrence with a left-to-right sum and a division
+    by 2 per coefficient."""
+    zero = f[0] - f[0]
+    s = [f[0]] + [zero] * order
+    for k in range(1, order + 1):
+        fk = f[k] if k < len(f) else zero
+        acc = zero
+        for i in range(1, k):
+            acc = acc + s[i] * s[k - i]
+        s[k] = (fk - acc) / 2
+    return s
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_series_sqrt_matches_the_halving_recurrence(seed):
+    # bit for bit on floats and arrays, exactly on Fractions and residues
+    import numpy as np
+
+    rng = random.Random(seed)
+    tail = [rng.uniform(-3.0, 3.0) * 10.0 ** rng.randint(-8, 8) for _ in range(6)]
+    order = 24
+    got, ref = series_sqrt([1.0, *tail], order), _sqrt_by_halving([1.0, *tail], order)
+    assert np.array(got).tobytes() == np.array(ref).tobytes()
+    grid = [np.ones(5)] + [np.array([t, *(rng.uniform(-9.0, 9.0) for _ in range(4))])
+                           for t in tail]
+    got, ref = series_sqrt(grid, order), _sqrt_by_halving(grid, order)
+    assert all(np.asarray(g).tobytes() == np.asarray(r).tobytes() for g, r in zip(got, ref))
+    exact = [F(1)] + [F(t).limit_denominator(10 ** 6) for t in tail]
+    assert series_sqrt(exact, order) == _sqrt_by_halving(exact, order)
+    residues = [ModP(x) for x in exact]
+    assert series_sqrt(residues, order) == _sqrt_by_halving(residues, order)
 
 
 def test_decision_records(caplog):
