@@ -206,6 +206,15 @@ def _expected_rhs_sign(variant: PellVariant, params: HyperellipticParams) -> int
     raise ValueError(variant)
 
 
+def _pell_constant(variant: PellVariant, params: HyperellipticParams,
+                   p: RatPoly, q: RatPoly) -> Fraction | None:
+    """The constant U p^2 - V q^2 of the variant's weights, or None when
+    that expansion is zero or not constant."""
+    u, v = weight_polys(variant, params)
+    expansion = u * (p * p) - v * (q * q)
+    return expansion.coeffs[0] if expansion.degree == 0 else None
+
+
 @dataclass(frozen=True)
 class PellSolution:
     """Exact solution of a Pell-type identity, with its verified constant."""
@@ -246,10 +255,9 @@ class PellSolution:
         p = RatPoly.of([fr(c) for c in d["p_coeffs"]])
         q = RatPoly.of([fr(c) for c in d["q_coeffs"]])
         variant = PellVariant(d["variant"])
-        u, v = weight_polys(variant, params)
-        expansion = u * (p * p) - v * (q * q)
-        rhs = expansion.coeffs[0] if expansion.degree == 0 else Fraction(0)
-        return PellSolution(p, q, variant, int(d["n"]), params, rhs)
+        rhs = _pell_constant(variant, params, p, q)
+        return PellSolution(p, q, variant, int(d["n"]), params,
+                            Fraction(0) if rhs is None else rhs)
 
 
 def _variant_series(variant: PellVariant, params: HyperellipticParams, order: int,
@@ -323,11 +331,10 @@ def solve_pell(params: HyperellipticParams, n: int,
 
     p_s = pstar.reciprocal(dp)
     q_s = qstar.reciprocal(dq)
-    u, v = weight_polys(variant, params)
-    expansion = u * (p_s * p_s) - v * (q_s * q_s)
-    if expansion.degree != 0:
+    rhs = _pell_constant(variant, params, p_s, q_s)
+    if rhs is None:
         return None     # defensive: vanishing order was insufficient
-    return PellSolution(p_s, q_s, variant, n, params, expansion.coeffs[0])
+    return PellSolution(p_s, q_s, variant, n, params, rhs)
 
 
 def verify_pell(sol: PellSolution) -> bool:
@@ -338,12 +345,8 @@ def verify_pell(sol: PellSolution) -> bool:
         return False
     if sol.p.degree != dp or sol.q.degree > dq:
         return False
-    u, v = weight_polys(sol.variant, sol.params)
-    expansion = u * (sol.p * sol.p) - v * (sol.q * sol.q)
-    if expansion.degree != 0 or expansion.is_zero:
-        return False
-    const = expansion.coeffs[0]
-    if const != sol.rhs:
+    const = _pell_constant(sol.variant, sol.params, sol.p, sol.q)
+    if const is None or const != sol.rhs:
         return False
     return (1 if const > 0 else -1) == _expected_rhs_sign(sol.variant, sol.params)
 

@@ -710,23 +710,19 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
     if report.signature is not None:
         sig = report.signature
         part = interval_partition(cp, ell)
-        if case is CausticCase.DOUBLE:
-            # lam3 is pinned on the ruled caustic, so its count cannot
-            # be read off the coordinate; infer it from the k=0 relation with
-            # the vanishing-cycle limit integral and let k=1 check it
-            try:
-                i1, i2, i3 = darboux_integrals(
-                    (ell.a1, ell.a2, ell.a3, cp.gamma1, g2), part, 0)
-                n2 = round((sig.m1 * i1 + sig.n1 * i2) / i3)
-                sig = PeriodSignature(sig.n, sig.m1, sig.n1, n2)
-                report.signature = sig
-            except BilliardError as exc:
-                report.fail("darboux", exc)
         residuals = []
         for k in (0, 1):
             try:
                 i1, i2, i3 = darboux_integrals(
                     (ell.a1, ell.a2, ell.a3, cp.gamma1, g2), part, k)
+                if k == 0 and case is CausticCase.DOUBLE:
+                    # lam3 is pinned on the ruled caustic, so its count cannot
+                    # be read off the coordinate; infer it from the k=0
+                    # relation with the vanishing-cycle limit integral and let
+                    # k=1 check it
+                    n2 = round((sig.m1 * i1 + sig.n1 * i2) / i3)
+                    sig = PeriodSignature(sig.n, sig.m1, sig.n1, n2)
+                    report.signature = sig
                 scale = max(abs(i1), abs(i2), abs(i3))
                 residuals.append(abs(sig.m1 * i1 + sig.n1 * i2 - sig.n2 * i3) / scale)
             except BilliardError as exc:

@@ -21,12 +21,13 @@ rank mod p proves full rank over Q; that decides the common NOT-SATISFIED
 verdict on plain Python ints.  On residues the square-root recurrence sums
 its products as ints and reduces once per coefficient, and the elimination
 mod p updates only the columns right of each pivot and reduces an entry
-only when it reads it.  Every other case (deficient mod p, a
-denominator divisible by p) falls back to fraction-free Bareiss elimination
-or the exact Gauss-Jordan nullspace.  A series built from ``ModP`` input is
-the reduction of the exact one as long as every division is by a p-unit;
-``ModP`` raises ``NonUnitError`` otherwise, and the caller takes the exact
-path.  Each exact decision is logged at DEBUG on this module's logger.
+only when it reads it.  Every other case (deficient mod p, a denominator
+divisible by p) falls back to the one exact elimination over Q: the
+fraction-free Bareiss echelon form, whose pivots give the rank and whose
+rows give the nullspace by back-substitution.  A series built from ``ModP``
+input is the reduction of the exact one as long as every division is by a
+p-unit; ``ModP`` raises ``NonUnitError`` otherwise, and the caller takes the
+exact path.  Each exact decision is logged at DEBUG on this module's logger.
 """
 
 from __future__ import annotations
@@ -221,15 +222,6 @@ def series_div(a: list[Fraction], d: list[Fraction], order: int) -> list[Fractio
     return out
 
 
-def series_mul(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    zero = a[0] - a[0]
-    out = [zero] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def normalized_branch_poly(factors: list[tuple[Fraction, int]]) -> list[Fraction]:
     """Product of (1 - x/r)^m over (r, m) pairs, as a polynomial.
 
@@ -281,14 +273,17 @@ def hankel_block(series: NormalizedSeries, start: int, rows: int, cols: int) -> 
     return HankelMatrix(ent, start)
 
 
-def matrix_rank_fraction_free(rows_in: list[list[Fraction]]) -> int:
-    """Exact rank over Q by Bareiss fraction-free elimination.
+def _echelon(rows_in: list[list[Fraction]]) -> tuple[list[int], list[list[int]]]:
+    """Pivot columns and integer row echelon form over Q, by Bareiss
+    fraction-free elimination.
 
-    Rows are scaled to integers first (rank is invariant under row scaling);
-    the Bareiss pivoting scheme keeps intermediate entries divisor-exact.
+    Rows are scaled to integers first (the row space is invariant under row
+    scaling); the Bareiss pivoting scheme keeps intermediate entries
+    divisor-exact.  Row i of the result has its first nonzero entry at the
+    i-th pivot column; the rows past the last pivot are zero.
     """
     if not rows_in or not rows_in[0]:
-        return 0
+        return [], []
     m = []
     for row in rows_in:
         den = 1
@@ -296,7 +291,7 @@ def matrix_rank_fraction_free(rows_in: list[list[Fraction]]) -> int:
             den = den * x.denominator // math.gcd(den, x.denominator)
         m.append([int(x * den) for x in row])
     nrows, ncols = len(m), len(m[0])
-    rank = 0
+    pivots: list[int] = []
     prev_pivot = 1
     pr = 0
     for pc in range(ncols):
@@ -315,10 +310,15 @@ def matrix_rank_fraction_free(rows_in: list[list[Fraction]]) -> int:
             m[r][pc] = 0
         prev_pivot = pivot
         pr += 1
-        rank += 1
+        pivots.append(pc)
         if pr == nrows:
             break
-    return rank
+    return pivots, m
+
+
+def matrix_rank_fraction_free(rows_in: list[list[Fraction]]) -> int:
+    """Exact rank over Q: the number of pivots of ``_echelon``."""
+    return len(_echelon(rows_in)[0])
 
 
 def rank_mod_p(rows_in: list[list]) -> int | None:
@@ -401,41 +401,20 @@ def nullspace(rows_in: list[list[Fraction]], ncols: int) -> list[list[Fraction]]
     """Basis of the exact nullspace of the (rows x ncols) rational system.
 
     Empty without exact elimination when the columns are independent mod p;
-    otherwise Gauss-Jordan over Q.
+    otherwise one vector per free column of ``_echelon``, in ascending order:
+    1 at its own free column, 0 at the others, and the pivot entries by
+    back-substitution.  That is the reduced row echelon basis.
     """
     if rank_mod_p(rows_in) == ncols:
         _log_decision("nullspace", rows_in, ncols, "modular")
         return []
-    m = [row[:] for row in rows_in]
-    nrows = len(m)
-    piv_cols: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for rr in range(r, nrows):
-            if m[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for rr in range(nrows):
-            if rr != r and m[rr][c] != 0:
-                f = m[rr][c]
-                m[rr] = [x - f * y for x, y in zip(m[rr], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    _log_decision("nullspace", rows_in, r, "exact")
+    pivots, m = _echelon(rows_in)
+    _log_decision("nullspace", rows_in, len(pivots), "exact")
     basis = []
-    for fc in (c for c in range(ncols) if c not in piv_cols):
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            vec[pc] = -m[i][fc]
+        for i, pc in reversed(list(enumerate(pivots))):
+            vec[pc] = Fraction(-sum(m[i][j] * vec[j] for j in range(pc + 1, ncols)), m[i][pc])
         basis.append(vec)
     return basis
-

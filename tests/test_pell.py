@@ -198,6 +198,14 @@ def test_certificate_round_trip():
     assert back.p == sol.p and back.q == sol.q and back.rhs == sol.rhs
 
 
+def test_certificate_with_a_non_constant_identity_loads_with_rhs_zero():
+    sol = solve_pell(EXACT_S1_N4, 4, PellVariant.EVEN_B)
+    doc = json.loads(sol.to_json())
+    doc["p_coeffs"][0] = str(F(doc["p_coeffs"][0]) + 1)
+    back = PellSolution.from_json_dict(doc)
+    assert back.rhs == 0 and not verify_pell(back)
+
+
 # -- verdict agreement and the modular certificate ---------------------------
 
 # caustic placements on (4,2,1): gamma1 range, gamma2 range
@@ -254,7 +262,7 @@ def test_large_period_not_satisfied_modularly(caplog):
     assert _paths(caplog) == {"modular"}
 
 
-@pytest.mark.parametrize("n", [4, 8])
+@pytest.mark.parametrize("n", [4, 8, 32])
 def test_satisfied_verdicts_come_from_the_exact_path(n, caplog):
     with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
         verdict = cayley_test(EXACT_S1_N4, CausticCase.S1, n)
@@ -276,7 +284,7 @@ def test_satisfied_n6_block_comes_from_the_exact_path(caplog):
 
 def test_non_unit_parameters_fall_back_to_exact(caplog):
     # parameters that are multiples of p have no series mod p, and the exact
-    # series then has p in its denominators: only Bareiss and Gauss-Jordan decide
+    # series then has p in its denominators: only the exact Bareiss elimination decides
     params = HyperellipticParams(F(4 * MODULUS), F(2 * MODULUS), F(1), F(MODULUS), F(-1, 2))
     with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
         assert cayley_test(params, CausticCase.S1, 8) is False

@@ -312,6 +312,32 @@ def test_cross_validate_double_caustic_exact_vector():
     assert rep.valid
 
 
+def test_cross_validate_double_caustic_one_darboux_call_per_k(monkeypatch):
+    # the k=0 integrals both fix the sweep count and give the k=0 residual
+    ell = Ellipsoid(6.0, 1.5, 2.0)
+    cp = CausticPair(2.0, 2.0, LineType.TIMELIKE, +1)
+    expected = repr(cross_validate(ell, cp, 4))
+    calls = []
+
+    def counted(params, part, k):
+        calls.append(k)
+        return darboux_integrals(params, part, k)
+
+    monkeypatch.setattr(search, "darboux_integrals", counted)
+    assert repr(cross_validate(ell, cp, 4)) == expected
+    assert calls == [0, 1]
+
+    def failing_at_0(params, part, k):
+        if k == 0:
+            raise NoConvergenceError("k=0 quadrature")
+        return darboux_integrals(params, part, k)
+
+    monkeypatch.setattr(search, "darboux_integrals", failing_at_0)
+    rep = cross_validate(ell, cp, 4)
+    assert [stage for stage, _ in rep.failures].count("darboux") == 1
+    assert rep.darboux_residuals[0] == math.inf
+
+
 def test_cross_validate_perturbed_gamma_fails(e421):
     cands = find_periodic(SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, 4, grid=32))
     c = cands[0]

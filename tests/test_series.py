@@ -23,7 +23,6 @@ from minkbilliards.series import (
     poly_mul_frac,
     rank_mod_p,
     series_div,
-    series_mul,
     series_sqrt,
 )
 from conftest import rank_by_minors
@@ -34,7 +33,7 @@ def test_series_sqrt_squares_back():
     order = 12
     s = series_sqrt(f, order)
     assert s[0] == 1
-    sq = series_mul(s, s, order)
+    sq = poly_mul_frac(s, s)[:order + 1]
     for k in range(order + 1):
         expect = f[k] if k < len(f) else F(0)
         assert sq[k] == expect
@@ -50,7 +49,7 @@ def test_series_div_inverse():
     f = normalized_branch_poly([(F(4), 1), (F(2), 1), (F(-1), 1)])
     d = [F(1), F(-2, 3)]
     q = series_div(list(f), d, 10)
-    back = series_mul(q, d, 10)
+    back = poly_mul_frac(q, d)[:11]
     for k in range(11):
         expect = f[k] if k < len(f) else F(0)
         assert back[k] == expect
@@ -189,7 +188,7 @@ def test_series_sqrt_squares_back_property(tail, order):
     f = [F(1)] + tail
     s = series_sqrt(f, order)
     assert all(type(c) is F for c in s)
-    assert series_mul(s, s, order) == [f[k] if k < len(f) else 0 for k in range(order + 1)]
+    assert poly_mul_frac(s, s)[:order + 1] == [f[k] if k < len(f) else 0 for k in range(order + 1)]
 
 
 # -- modular certificate ------------------------------------------------------
@@ -219,6 +218,13 @@ def test_certified_rank_matches_bareiss_and_minors(block):
     assert len(kernel) == len(block[0]) - rank
     for vec in kernel:
         assert all(sum(a * b for a, b in zip(row, vec)) == 0 for row in block)
+    # reduced row echelon normal form: each vector's last nonzero entry sits
+    # at its own free column, where it is 1, and is 0 at the other free
+    # columns; the free columns ascend
+    free = [max(j for j, x in enumerate(vec) if x != 0) for vec in kernel]
+    assert all(f < g for f, g in zip(free, free[1:]))
+    for vec, f in zip(kernel, free):
+        assert vec[f] == 1 and all(vec[g] == 0 for g in free if g != f)
 
 
 def _paths(caplog) -> list[str]:
