@@ -361,6 +361,23 @@ def cayley_test(params: HyperellipticParams, case: CausticCase, n: int) -> bool:
     return _satisfied(params, _branches(case, n), n)
 
 
+def _degenerate_params(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction,
+                       case: CausticCase, n: int) -> HyperellipticParams | None:
+    """Curve data of the double or light-like case, or None where it has no
+    condition at n: odd light-like periods need an ellipsoid caustic.
+    Raises ``GammaOutOfRangeError`` unless a2 < gamma1 < a1 (double), or
+    gamma1 is in (-a3, a1) and neither a2 nor 0 (light-like)."""
+    a1, a2, a3 = a
+    if case is CausticCase.DOUBLE:
+        if not (a2 < gamma1 < a1):
+            raise GammaOutOfRangeError(f"double caustic needs gamma1 in ({a2}, {a1})")
+        return HyperellipticParams(a1, a2, a3, gamma1, gamma1)
+    if not (-a3 < gamma1 < a1) or gamma1 in (a2, 0):
+        raise GammaOutOfRangeError(f"gamma1={gamma1} is not a light-like caustic parameter")
+    params = HyperellipticParams(a1, a2, a3, gamma1, None)
+    return None if n % 2 and gamma1 > a2 else params
+
+
 def double_caustic_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction, n: int) -> bool:
     """Periodicity test for a trajectory along the double caustic.
 
@@ -368,11 +385,8 @@ def double_caustic_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction
     (gamma1-x) sqrt((a1-x)(a2-x)(a3+x)) and the doubleB block (n >= 4) on
     sqrt((a1-x)(a2-x)(a3+x)) / (gamma1-x), both normalized.
     """
-    a1, a2, a3 = a
-    if not (a2 < gamma1 < a1):
-        raise GammaOutOfRangeError(f"double caustic needs gamma1 in ({a2}, {a1})")
-    return _satisfied(HyperellipticParams(a1, a2, a3, gamma1, gamma1),
-                      _branches(CausticCase.DOUBLE, n), n)
+    params = _degenerate_params(a, gamma1, CausticCase.DOUBLE, n)
+    return _satisfied(params, _branches(CausticCase.DOUBLE, n), n)
 
 
 def lightlike_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction, n: int) -> bool:
@@ -382,13 +396,8 @@ def lightlike_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction, n: 
     Odd n >= 5 with an ellipsoid caustic only: the lightB block (rows from
     B3) on sqrt((a1-x)(a2-x)(a3+x)/(gamma1-x)).
     """
-    a1, a2, a3 = a
-    if not (-a3 < gamma1 < a2 or a2 < gamma1 < a1):
-        raise GammaOutOfRangeError(f"gamma1={gamma1} is not a non-degenerate caustic parameter")
-    params = HyperellipticParams(a1, a2, a3, gamma1, None)
-    if n % 2 and not (-a3 < gamma1 < a2):
-        return False     # odd periods require the ellipsoid caustic
-    return _satisfied(params, _branches(CausticCase.LIGHT, n), n)
+    params = _degenerate_params(a, gamma1, CausticCase.LIGHT, n)
+    return params is not None and _satisfied(params, _branches(CausticCase.LIGHT, n), n)
 
 
 # -- winding-number integrals -------------------------------------------------

@@ -8,14 +8,14 @@ to the Pell form
 
     U(s) p(s)^2 - V(s) q(s)^2 = R,
 
-with U, V the monic weight factors of the variant (e.g. U = 1 and
-V = s (s-1/a1)(s-1/a2)(s+1/a3)(s-1/gamma1)(s-1/gamma2) for the plain even
-variant) and R a nonzero rational constant.  Working with the normalized
-series absorbs the irrational factor sqrt(P(0)) into q, so p, q and R are
-exactly rational; with p* monic the plain even and light-even variants give
-R = 1 and the odd variants give R = -1/gamma (sign as in the source
-identities), while the two-caustic even variant gives sign(R) = sign of the
-caustic product.
+with U, V the monic weight factors of the variant and R a nonzero rational
+constant.  The weights come from the entry (caustics, divisors, start) of
+the variant's series kind in ``conditions._KINDS``: U is the product of the
+factors (s - 1/gamma_i) over the divisors, and V is s^(3 - #caustics)
+(s-1/a1)(s-1/a2)(s+1/a3) times those of the caustics left once the divisors
+are removed.  V(0) = 0, so R = U(0) p(0)^2 and sign(R) = sign U(0).  Working
+with the normalized series absorbs the irrational factor sqrt(P(0)) into q,
+so p, q and R are exactly rational; p* monic makes p(0) = 1, so R = U(0).
 
 The solve is decided mod p first.  The q-part of the linear system is built
 from the series modulo the prime p of ``series.MODULUS``; when its columns
@@ -28,6 +28,7 @@ exact nullspace, and every returned solution comes from that exact path.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,7 +39,17 @@ from .errors import (
     ThresholdViolationError,
     UnverifiedInputError,
 )
-from .conditions import HyperellipticParams, _is_branch, _start, divided_series, sqrt_series
+from .confocal import CausticCase
+from .conditions import (
+    _CASE_KINDS,
+    _KINDS,
+    HyperellipticParams,
+    _degenerate_params,
+    _is_branch,
+    _start,
+    divided_series,
+    sqrt_series,
+)
 from .series import ModP, NonUnitError, SeriesKind, matrix_rank, nullspace, poly_mul_frac
 
 
@@ -164,53 +175,23 @@ def variant_degrees(variant: PellVariant, n: int) -> tuple[int, int]:
 
 
 def weight_polys(variant: PellVariant, params: HyperellipticParams) -> tuple[RatPoly, RatPoly]:
-    """Monic weight factors (U, V) of the variant's identity U p^2 - V q^2 = R."""
-    s_ = RatPoly((Fraction(0), Fraction(1)))
-    lin = RatPoly.monic_linear
-    base3 = lin(1 / params.a1) * lin(1 / params.a2) * lin(-1 / params.a3)
-    g1 = params.gamma1
-    if variant is PellVariant.EVEN_A:
-        assert params.gamma2 is not None
-        return (RatPoly.const(1), s_ * base3 * lin(1 / g1) * lin(1 / params.gamma2))
-    if variant is PellVariant.EVEN_B:
-        assert params.gamma2 is not None
-        return (lin(1 / g1) * lin(1 / params.gamma2), s_ * base3)
-    if variant is PellVariant.ODD_C:
-        assert params.gamma2 is not None
-        return (lin(1 / g1), s_ * base3 * lin(1 / params.gamma2))
-    if variant is PellVariant.ODD_D:
-        assert params.gamma2 is not None
-        return (lin(1 / params.gamma2), s_ * base3 * lin(1 / g1))
-    if variant is PellVariant.DOUBLE_A:
-        return (RatPoly.const(1), s_ * base3 * lin(1 / g1) * lin(1 / g1))
-    if variant is PellVariant.DOUBLE_B:
-        return (lin(1 / g1) * lin(1 / g1), s_ * base3)
-    if variant is PellVariant.LIGHT_EVEN:
-        return (RatPoly.const(1), s_ * s_ * base3 * lin(1 / g1))
-    if variant is PellVariant.LIGHT_ODD:
-        return (lin(1 / g1), s_ * s_ * base3)
-    raise ValueError(variant)
+    """Monic weight factors (U, V) of the variant's identity U p^2 - V q^2 = R,
+    read from its kind's caustics and divisors as the module docstring says."""
+    caustics, divisors, _ = _KINDS[_VARIANT_KINDS[variant]]
+    gammas = (params.gamma1, params.gamma2)
+    rest = (Counter(caustics) - Counter(divisors)).elements()
+    u = RatPoly.const(1)
+    v = RatPoly.of([Fraction(0)] * (3 - len(caustics)) + [Fraction(1)])
+    for g in [gammas[i] for i in divisors]:
+        u = u * RatPoly.monic_linear(1 / g)
+    for root in [params.a1, params.a2, -params.a3] + [gammas[i] for i in rest]:
+        v = v * RatPoly.monic_linear(1 / root)
+    return u, v
 
 
-def _expected_rhs_sign(variant: PellVariant, params: HyperellipticParams) -> int:
-    if variant in (PellVariant.EVEN_A, PellVariant.DOUBLE_A,
-                   PellVariant.LIGHT_EVEN, PellVariant.DOUBLE_B):
-        return +1
-    if variant is PellVariant.EVEN_B:
-        return params.epsilon
-    if variant in (PellVariant.ODD_C, PellVariant.LIGHT_ODD):
-        return -1 if params.gamma1 > 0 else +1
-    if variant is PellVariant.ODD_D:
-        assert params.gamma2 is not None
-        return -1 if params.gamma2 > 0 else +1
-    raise ValueError(variant)
-
-
-def _pell_constant(variant: PellVariant, params: HyperellipticParams,
-                   p: RatPoly, q: RatPoly) -> Fraction | None:
-    """The constant U p^2 - V q^2 of the variant's weights, or None when
-    that expansion is zero or not constant."""
-    u, v = weight_polys(variant, params)
+def _pell_constant(u: RatPoly, v: RatPoly, p: RatPoly, q: RatPoly) -> Fraction | None:
+    """The constant U p^2 - V q^2, or None when that expansion is zero or
+    not constant."""
     expansion = u * (p * p) - v * (q * q)
     return expansion.coeffs[0] if expansion.degree == 0 else None
 
@@ -255,7 +236,8 @@ class PellSolution:
         p = RatPoly.of([fr(c) for c in d["p_coeffs"]])
         q = RatPoly.of([fr(c) for c in d["q_coeffs"]])
         variant = PellVariant(d["variant"])
-        rhs = _pell_constant(variant, params, p, q)
+        _check_shape(variant, params)
+        rhs = _pell_constant(*weight_polys(variant, params), p, q)
         return PellSolution(p, q, variant, int(d["n"]), params,
                             Fraction(0) if rhs is None else rhs)
 
@@ -276,22 +258,26 @@ def _q_rows(s, dp: int, dq: int, n: int) -> list[list]:
             for k in range(dp + 1, n)]
 
 
-def _validate_params_for_variant(variant: PellVariant, params: HyperellipticParams) -> None:
-    if variant in (PellVariant.EVEN_A, PellVariant.EVEN_B, PellVariant.ODD_C, PellVariant.ODD_D):
-        if params.gamma2 is None or params.is_double:
-            raise SingularCurveError(f"{variant.value} needs two distinct finite caustics")
-        if variant is PellVariant.ODD_C and params.gamma1 <= 0:
-            raise GammaOutOfRangeError("the odd gamma1-variant requires gamma1 > 0")
-        if variant is PellVariant.ODD_D and params.gamma2 >= 0:
-            raise GammaOutOfRangeError("the odd gamma2-variant requires gamma2 < 0")
-    elif variant in (PellVariant.DOUBLE_A, PellVariant.DOUBLE_B):
-        if not params.is_double:
-            raise SingularCurveError(f"{variant.value} needs gamma2 == gamma1")
-        if not (params.a2 < params.gamma1 < params.a1):
-            raise GammaOutOfRangeError("double caustic must lie between a2 and a1")
-    else:
-        if not params.is_lightlike:
-            raise SingularCurveError(f"{variant.value} needs the light-like sentinel")
+def _check_shape(variant: PellVariant, params: HyperellipticParams) -> None:
+    """Raise SingularCurveError unless the parameters have the caustic roots
+    of the variant's branch polynomial."""
+    want, got = (_KINDS[kind][0] for kind in (_VARIANT_KINDS[variant], params.base_kind))
+    if want != got:
+        names = [", ".join(f"gamma{i + 1}" for i in roots) for roots in (want, got)]
+        raise SingularCurveError(f"{variant.value} needs the caustic roots ({names[0]}), "
+                                 f"got ({names[1]})")
+
+
+def _validate_params_for_variant(variant: PellVariant, params: HyperellipticParams,
+                                 n: int) -> None:
+    _check_shape(variant, params)
+    if variant is PellVariant.ODD_C and params.gamma1 <= 0:
+        raise GammaOutOfRangeError("the odd gamma1-variant requires gamma1 > 0")
+    if variant is PellVariant.ODD_D and params.gamma2 >= 0:
+        raise GammaOutOfRangeError("the odd gamma2-variant requires gamma2 < 0")
+    if params.is_double:
+        _degenerate_params((params.a1, params.a2, params.a3), params.gamma1,
+                           CausticCase.DOUBLE, n)
 
 
 def solve_pell(params: HyperellipticParams, n: int,
@@ -304,7 +290,7 @@ def solve_pell(params: HyperellipticParams, n: int,
     makes p* monic, and transports to s = 1/x.  A value is returned iff the
     corresponding rank-type periodicity condition holds.
     """
-    _validate_params_for_variant(variant, params)
+    _validate_params_for_variant(variant, params, n)
     dp, dq = variant_degrees(variant, n)
     try:
         modular = _variant_series(variant, params, n, ModP).coeffs
@@ -331,7 +317,7 @@ def solve_pell(params: HyperellipticParams, n: int,
 
     p_s = pstar.reciprocal(dp)
     q_s = qstar.reciprocal(dq)
-    rhs = _pell_constant(variant, params, p_s, q_s)
+    rhs = _pell_constant(*weight_polys(variant, params), p_s, q_s)
     if rhs is None:
         return None     # defensive: vanishing order was insufficient
     return PellSolution(p_s, q_s, variant, n, params, rhs)
@@ -345,10 +331,10 @@ def verify_pell(sol: PellSolution) -> bool:
         return False
     if sol.p.degree != dp or sol.q.degree > dq:
         return False
-    const = _pell_constant(sol.variant, sol.params, sol.p, sol.q)
-    if const is None or const != sol.rhs:
-        return False
-    return (1 if const > 0 else -1) == _expected_rhs_sign(sol.variant, sol.params)
+    u, v = weight_polys(sol.variant, sol.params)
+    const = _pell_constant(u, v, sol.p, sol.q)
+    # V(0) = 0, so R = U(0) p(0)^2 takes the sign of U(0)
+    return const is not None and const == sol.rhs and (const > 0) == (u.coeffs[0] > 0)
 
 
 def compose_pell(sol: PellSolution) -> PellSolution:
@@ -381,18 +367,12 @@ def solve_pell_singular(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction
     Absent (None) when the parity does not match the variant, and for the
     odd light-like variant when the caustic is not an ellipsoid.
     """
-    if which in (PellVariant.DOUBLE_A, PellVariant.DOUBLE_B):
-        if not (a[1] < gamma1 < a[0]):
-            raise GammaOutOfRangeError("double caustic must lie between a2 and a1")
-        gamma2 = gamma1
-    elif which in (PellVariant.LIGHT_EVEN, PellVariant.LIGHT_ODD):
-        if not (-a[2] < gamma1 < a[0]) or gamma1 == a[1] or gamma1 == 0:
-            raise GammaOutOfRangeError("light-like caustic parameter out of range")
-        gamma2 = None
-    else:
+    kind = _VARIANT_KINDS[which]
+    case = next((c for c in (CausticCase.DOUBLE, CausticCase.LIGHT) if kind in _CASE_KINDS[c]),
+                None)
+    if case is None:
         raise ValueError(f"not a singular variant: {which}")
-    if n % 2 != _start(_VARIANT_KINDS[which]) % 2:
+    params = _degenerate_params(a, gamma1, case, n)
+    if params is None or n % 2 != _start(kind) % 2:
         return None
-    if which is PellVariant.LIGHT_ODD and not (-a[2] < gamma1 < a[1]):
-        return None     # odd periods need an ellipsoid caustic
-    return solve_pell(HyperellipticParams(a[0], a[1], a[2], gamma1, gamma2), n, which)
+    return solve_pell(params, n, which)

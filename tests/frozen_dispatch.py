@@ -1,13 +1,16 @@
 """Frozen copy of the per-module (case, n) -> condition-branch dispatch that
 the series-kind table in ``conditions`` replaced: the even/odd branch tables
 and the three Hankel test bodies, the searched-branch table, the Pell
-variant table and the Pell degree arithmetic.  ``test_branch_table`` checks
-that the table gives the same answers.  Nothing in the package imports this
-module; the Hankel rank, series builds and the modular certificate are the
-package's own.
+variant table and degree arithmetic, and the per-variant Pell weights,
+constant signs, parameter and range checks and verification.
+``test_branch_table`` checks that the table gives the same answers.
+Nothing in the package imports this module; the Hankel rank, series
+builds, modular certificate and Pell solve are the package's own.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from minkbilliards.conditions import (
     HyperellipticParams,
@@ -18,8 +21,13 @@ from minkbilliards.conditions import (
     sqrt_series,
 )
 from minkbilliards.confocal import CausticCase
-from minkbilliards.errors import EmptyRangeError, GammaOutOfRangeError, ThresholdViolationError
-from minkbilliards.pell import PellVariant
+from minkbilliards.errors import (
+    EmptyRangeError,
+    GammaOutOfRangeError,
+    SingularCurveError,
+    ThresholdViolationError,
+)
+from minkbilliards.pell import PellVariant, RatPoly, solve_pell
 from minkbilliards.series import SeriesKind, hankel_rank
 
 _TWO_CAUSTIC = (CausticCase.S1, CausticCase.S2, CausticCase.S3, CausticCase.S4,
@@ -217,3 +225,96 @@ def variant_degrees(variant: PellVariant, n: int) -> tuple[int, int]:
         raise ThresholdViolationError(f"{variant.value} needs n >= 5")
     m = (n - 1) // 2
     return (m, m - 2)
+
+
+def weight_polys(variant: PellVariant, params: HyperellipticParams) -> tuple[RatPoly, RatPoly]:
+    s_ = RatPoly((Fraction(0), Fraction(1)))
+    lin = RatPoly.monic_linear
+    base3 = lin(1 / params.a1) * lin(1 / params.a2) * lin(-1 / params.a3)
+    g1 = params.gamma1
+    if variant is PellVariant.EVEN_A:
+        assert params.gamma2 is not None
+        return (RatPoly.const(1), s_ * base3 * lin(1 / g1) * lin(1 / params.gamma2))
+    if variant is PellVariant.EVEN_B:
+        assert params.gamma2 is not None
+        return (lin(1 / g1) * lin(1 / params.gamma2), s_ * base3)
+    if variant is PellVariant.ODD_C:
+        assert params.gamma2 is not None
+        return (lin(1 / g1), s_ * base3 * lin(1 / params.gamma2))
+    if variant is PellVariant.ODD_D:
+        assert params.gamma2 is not None
+        return (lin(1 / params.gamma2), s_ * base3 * lin(1 / g1))
+    if variant is PellVariant.DOUBLE_A:
+        return (RatPoly.const(1), s_ * base3 * lin(1 / g1) * lin(1 / g1))
+    if variant is PellVariant.DOUBLE_B:
+        return (lin(1 / g1) * lin(1 / g1), s_ * base3)
+    if variant is PellVariant.LIGHT_EVEN:
+        return (RatPoly.const(1), s_ * s_ * base3 * lin(1 / g1))
+    if variant is PellVariant.LIGHT_ODD:
+        return (lin(1 / g1), s_ * s_ * base3)
+    raise ValueError(variant)
+
+
+def expected_rhs_sign(variant: PellVariant, params: HyperellipticParams) -> int:
+    if variant in (PellVariant.EVEN_A, PellVariant.DOUBLE_A,
+                   PellVariant.LIGHT_EVEN, PellVariant.DOUBLE_B):
+        return +1
+    if variant is PellVariant.EVEN_B:
+        return params.epsilon
+    if variant in (PellVariant.ODD_C, PellVariant.LIGHT_ODD):
+        return -1 if params.gamma1 > 0 else +1
+    if variant is PellVariant.ODD_D:
+        assert params.gamma2 is not None
+        return -1 if params.gamma2 > 0 else +1
+    raise ValueError(variant)
+
+
+def validate_params_for_variant(variant: PellVariant, params: HyperellipticParams) -> None:
+    if variant in (PellVariant.EVEN_A, PellVariant.EVEN_B, PellVariant.ODD_C, PellVariant.ODD_D):
+        if params.gamma2 is None or params.is_double:
+            raise SingularCurveError(f"{variant.value} needs two distinct finite caustics")
+        if variant is PellVariant.ODD_C and params.gamma1 <= 0:
+            raise GammaOutOfRangeError("the odd gamma1-variant requires gamma1 > 0")
+        if variant is PellVariant.ODD_D and params.gamma2 >= 0:
+            raise GammaOutOfRangeError("the odd gamma2-variant requires gamma2 < 0")
+    elif variant in (PellVariant.DOUBLE_A, PellVariant.DOUBLE_B):
+        if not params.is_double:
+            raise SingularCurveError(f"{variant.value} needs gamma2 == gamma1")
+        if not (params.a2 < params.gamma1 < params.a1):
+            raise GammaOutOfRangeError("double caustic must lie between a2 and a1")
+    else:
+        if not params.is_lightlike:
+            raise SingularCurveError(f"{variant.value} needs the light-like sentinel")
+
+
+def verify_pell(sol) -> bool:
+    try:
+        dp, dq = variant_degrees(sol.variant, sol.n)
+    except ThresholdViolationError:
+        return False
+    if sol.p.degree != dp or sol.q.degree > dq:
+        return False
+    u, v = weight_polys(sol.variant, sol.params)
+    expansion = u * (sol.p * sol.p) - v * (sol.q * sol.q)
+    const = expansion.coeffs[0] if expansion.degree == 0 else None
+    if const is None or const != sol.rhs:
+        return False
+    return (1 if const > 0 else -1) == expected_rhs_sign(sol.variant, sol.params)
+
+
+def solve_pell_singular(a, gamma1, n: int, which: PellVariant):
+    if which in (PellVariant.DOUBLE_A, PellVariant.DOUBLE_B):
+        if not (a[1] < gamma1 < a[0]):
+            raise GammaOutOfRangeError("double caustic must lie between a2 and a1")
+        gamma2 = gamma1
+    elif which in (PellVariant.LIGHT_EVEN, PellVariant.LIGHT_ODD):
+        if not (-a[2] < gamma1 < a[0]) or gamma1 == a[1] or gamma1 == 0:
+            raise GammaOutOfRangeError("light-like caustic parameter out of range")
+        gamma2 = None
+    else:
+        raise ValueError(f"not a singular variant: {which}")
+    if n % 2 != (0 if which in EVEN_VARIANTS else 1):
+        return None
+    if which is PellVariant.LIGHT_ODD and not (-a[2] < gamma1 < a[1]):
+        return None
+    return solve_pell(HyperellipticParams(a[0], a[1], a[2], gamma1, gamma2), n, which)

@@ -1,11 +1,13 @@
 """The series-kind table of ``conditions`` against the per-module dispatch it
-replaced (frozen in ``frozen_dispatch``), and the internal names that the
+replaced (frozen in ``frozen_dispatch``): condition branches, Pell weights,
+constant signs, parameter and range checks; and the internal names that the
 benchmark's per-layer replays resolve."""
 
 import importlib
 import logging
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -15,13 +17,20 @@ from minkbilliards import (
     CausticCase,
     Ellipsoid,
     HyperellipticParams,
+    PellSolution,
     PellVariant,
+    RatPoly,
     SeriesKind,
     cayley_test,
+    compose_pell,
     divided_series,
+    solve_pell,
+    solve_pell_singular,
     sqrt_series,
+    verify_pell,
 )
-from minkbilliards import conditions, search
+from minkbilliards import conditions, pell, search
+from minkbilliards.errors import GammaOutOfRangeError, SingularCurveError
 from minkbilliards.pell import _VARIANT_KINDS, variant_degrees
 from test_conditions import EXACT_DOUBLE, EXACT_LIGHT, EXACT_N6, EXACT_S1_N4
 
@@ -141,6 +150,128 @@ def test_dispatch_matches_frozen_when_every_block_is_deficient(case, monkeypatch
         assert conditions.lightlike_test(a, F(1, 2), 7) is True
         assert conditions.lightlike_test(a, F(3), 7) is False
         assert conditions.lightlike_test(a, F(3), 6) is True
+
+
+# -- the Pell weights, constant signs and parameter checks -----------------------
+
+def _pell_params(rng: random.Random, count: int) -> list[HyperellipticParams]:
+    """``count`` seeded rational parameter sets of every caustic shape: two
+    distinct caustics with each sign of each gamma, a double caustic inside
+    and outside (a2, a1), and the light-like sentinel."""
+    def rational(lo: int, hi: int) -> F:
+        return F(rng.randint(lo, hi), rng.randint(1, 9))
+
+    out = []
+    while len(out) < count:
+        a2, a3 = rational(1, 40), rational(1, 40)
+        a1 = a2 + rational(1, 40)
+        g1 = rng.choice([-1, 1]) * rational(1, 60)
+        shape = len(out) % 4
+        if shape == 0:
+            g2 = rng.choice([-1, 1]) * rational(1, 60)
+        elif shape == 1:
+            g1 = a2 + (a1 - a2) * F(rng.randint(1, 99), 100)
+            g2 = g1
+        elif shape == 2:
+            g2 = g1
+        else:
+            g2 = None
+        try:
+            out.append(HyperellipticParams(a1, a2, a3, g1, g2))
+        except Exception:    # noqa: BLE001 - a singular draw is redrawn
+            continue
+    return out
+
+
+def _pell_inputs():
+    rng = random.Random(1900)
+    exact = [EXACT_S1_N4, EXACT_N6,
+             HyperellipticParams(*EXACT_DOUBLE[0], EXACT_DOUBLE[1], EXACT_DOUBLE[1]),
+             HyperellipticParams(*EXACT_LIGHT[0], EXACT_LIGHT[1], None)]
+    return exact + _pell_params(rng, 96)
+
+
+@pytest.mark.parametrize("variant", list(PellVariant))
+def test_pell_weights_signs_and_checks_match_frozen(variant):
+    shapes = set()
+    for params in _pell_inputs():
+        assert (_outcome(pell._validate_params_for_variant, variant, params, 6)
+                == _outcome(frozen.validate_params_for_variant, variant, params))
+        fits = _outcome(pell._check_shape, variant, params) is None
+        assert fits == (_outcome(frozen.validate_params_for_variant, variant, params)
+                        is not SingularCurveError)
+        shapes.add((params.base_kind, fits))
+        if not fits:
+            continue
+        u, v = pell.weight_polys(variant, params)
+        assert (u, v) == frozen.weight_polys(variant, params)
+        assert (1 if u.coeffs[0] > 0 else -1) == frozen.expected_rhs_sign(variant, params)
+    # every shape was sampled, and mismatched ones were among them
+    assert {kind for kind, _ in shapes} == {SeriesKind.A, SeriesKind.DOUBLE_A, SeriesKind.LIGHT_A}
+    assert {fits for _, fits in shapes} == {True, False}
+
+
+def _exact_solutions() -> list[PellSolution]:
+    (a, g), (al, gl) = EXACT_DOUBLE, EXACT_LIGHT
+    even_b = solve_pell(EXACT_S1_N4, 4, PellVariant.EVEN_B)
+    return [even_b, compose_pell(even_b),
+            solve_pell(EXACT_N6, 6, PellVariant.EVEN_A),
+            solve_pell_singular(a, g, 4, PellVariant.DOUBLE_B),
+            solve_pell_singular(al, gl, 6, PellVariant.LIGHT_EVEN)]
+
+
+def test_verify_pell_matches_frozen_on_solutions_and_corruptions():
+    rng = random.Random(1901)
+    solutions = _exact_solutions()
+    valid = 0
+    for sol in solutions:
+        p = list(sol.p.coeffs)
+        p[rng.randrange(len(p))] += F(1, 7)
+        candidates = [sol, replace(sol, rhs=-sol.rhs), replace(sol, rhs=2 * sol.rhs),
+                      replace(sol, p=RatPoly.of(p)), replace(sol, n=sol.n + 1),
+                      replace(sol, n=sol.n + 2), replace(sol, q=sol.q * sol.q)]
+        for cand in candidates:
+            assert verify_pell(cand) is frozen.verify_pell(cand)
+            valid += verify_pell(cand)
+    assert valid == len(solutions)     # only the unaltered solutions hold
+
+
+# -- the degenerate-case range checks --------------------------------------------
+
+def _degenerate_gammas(a) -> list[F]:
+    """Caustic parameters across every boundary of the double and light-like
+    ranges of the ellipsoid ``a``, the boundaries themselves included."""
+    a1, a2, a3 = a
+    marks = sorted({-a3, a2, a1, F(0)})
+    out = set(marks) | {marks[0] - 1, marks[-1] + 1}
+    out |= {(lo + hi) / 2 for lo, hi in zip(marks, marks[1:])}
+    return sorted(out)
+
+
+@pytest.mark.parametrize("a", [(F(4), F(2), F(1)), EXACT_DOUBLE[0], EXACT_LIGHT[0]])
+def test_degenerate_range_checks_match_frozen(a):
+    for g in _degenerate_gammas(a):
+        for n in (4, 5, 6, 7):
+            assert (_outcome(conditions.double_caustic_test, a, g, n)
+                    == _outcome(frozen.double_caustic_test, a, g, n))
+            for variant in (PellVariant.DOUBLE_A, PellVariant.DOUBLE_B,
+                            PellVariant.LIGHT_EVEN, PellVariant.LIGHT_ODD):
+                assert (_outcome(solve_pell_singular, a, g, n, variant)
+                        == _outcome(frozen.solve_pell_singular, a, g, n, variant))
+            if g != 0:
+                assert (_outcome(conditions.lightlike_test, a, g, n)
+                        == _outcome(frozen.lightlike_test, a, g, n))
+
+
+def test_lightlike_gamma_zero_is_out_of_range():
+    # the light-like range excludes 0 for the rank test as for the Pell
+    # solve (the rank test used to raise SingularCurveError there)
+    a = (F(4), F(2), F(1))
+    for n in (5, 6):
+        with pytest.raises(GammaOutOfRangeError):
+            conditions.lightlike_test(a, F(0), n)
+        with pytest.raises(GammaOutOfRangeError):
+            solve_pell_singular(a, F(0), n, PellVariant.LIGHT_EVEN)
 
 
 # -- the names the benchmark probes ---------------------------------------------

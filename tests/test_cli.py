@@ -97,6 +97,20 @@ def test_verify_pell_cert(tmp_path, capsys):
     cert.write_text(json.dumps(doc))
     code, out, _ = run(capsys, "verify-pell", "--cert", str(cert))
     assert code == 1 and out.strip() == "INVALID"
+    # params whose caustics do not fit the variant break a precondition:
+    # exit 2 with no verdict and no traceback
+    mismatched = [
+        {"variant": "evenA", "n": 6,
+         "params": {"a1": "4/1", "a2": "2/1", "a3": "1/1", "gamma1": "1/1", "gamma2": None},
+         "p_coeffs": ["1/1"], "q_coeffs": ["1/1"]},
+        {**doc, "variant": "doubleA", "n": 6},
+    ]
+    assert mismatched[1]["params"]["gamma2"] != mismatched[1]["params"]["gamma1"]
+    for bad in mismatched:
+        cert.write_text(json.dumps(bad))
+        code, out, err = run(capsys, "verify-pell", "--cert", str(cert))
+        assert code == 2 and out == ""
+        assert err.startswith("precondition violated: ") and "Traceback" not in err
 
 
 def test_find_periodic_cli(tmp_path, capsys):

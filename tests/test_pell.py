@@ -1,6 +1,7 @@
 import json
 import logging
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -204,6 +205,24 @@ def test_certificate_with_a_non_constant_identity_loads_with_rhs_zero():
     doc["p_coeffs"][0] = str(F(doc["p_coeffs"][0]) + 1)
     back = PellSolution.from_json_dict(doc)
     assert back.rhs == 0 and not verify_pell(back)
+
+
+# one exact solution per sign rule of the constant R = U(0) p(0)^2 that the
+# suite's rational sets reach; no rational odd-period set is known to it
+SIGN_RULE_SOLUTIONS = {
+    "U = 1": lambda: solve_pell(EXACT_N6, 6, PellVariant.EVEN_A),
+    "U = 1, light-like": lambda: solve_pell_singular(*EXACT_LIGHT, 6, PellVariant.LIGHT_EVEN),
+    "U = (s-1/g1)(s-1/g2), g1 g2 < 0": lambda: solve_pell(EXACT_S1_N4, 4, PellVariant.EVEN_B),
+    "U = (s-1/g1)^2": lambda: solve_pell_singular(*EXACT_DOUBLE, 4, PellVariant.DOUBLE_B),
+}
+
+
+@pytest.mark.parametrize("rule", list(SIGN_RULE_SOLUTIONS))
+def test_verify_pell_rejects_the_negated_constant(rule):
+    sol = SIGN_RULE_SOLUTIONS[rule]()
+    u, _ = weight_polys(sol.variant, sol.params)
+    assert verify_pell(sol) and (sol.rhs > 0) == (u.eval(F(0)) > 0)
+    assert not verify_pell(replace(sol, rhs=-sol.rhs))
 
 
 # -- verdict agreement and the modular certificate ---------------------------
