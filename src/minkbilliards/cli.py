@@ -18,7 +18,14 @@ import sys
 from fractions import Fraction
 
 from .conditions import HyperellipticParams, cayley_test
-from .confocal import CausticCase, CausticPair, Ellipsoid, classify_case, line_caustics
+from .confocal import (
+    _CASE_INTERVALS,
+    CausticCase,
+    CausticPair,
+    Ellipsoid,
+    classify_case,
+    line_caustics,
+)
 from .errors import BilliardError
 from .minkowski import LineType, Vec3, classify_direction
 from .pell import PellSolution, verify_pell
@@ -170,26 +177,15 @@ def _cmd_cross_validate(args) -> int:
     ell = Ellipsoid(*spec.ellipsoid)
     reports = []
     ok = True
+    linetype, _ = _CASE_INTERVALS[spec.case]
+    epsilon = -1 if linetype is LineType.SPACELIKE else +1
     for c in cands:
-        cp = CausticPair(c.gamma1, c.gamma2,
-                         linetype=_case_linetype(spec.case), epsilon=_case_epsilon(spec.case))
+        cp = CausticPair(c.gamma1, c.gamma2, linetype=linetype, epsilon=epsilon)
         rep = cross_validate(ell, cp, spec.n)
         reports.append(rep.to_json_dict())
         ok = ok and rep.valid
     print(json.dumps(reports, indent=2))
     return 0 if ok else 1
-
-
-def _case_linetype(case: CausticCase) -> LineType:
-    if case.value.startswith("S"):
-        return LineType.SPACELIKE
-    if case.value.startswith("T") or case is CausticCase.DOUBLE:
-        return LineType.TIMELIKE
-    return LineType.LIGHTLIKE
-
-
-def _case_epsilon(case: CausticCase) -> int:
-    return -1 if case.value.startswith("S") else +1
 
 
 def build_parser() -> argparse.ArgumentParser:

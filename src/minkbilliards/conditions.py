@@ -37,7 +37,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .confocal import CausticCase, IntervalPartition
+from .confocal import _CASE_INTERVALS, CausticCase, IntervalPartition, _placed
 from .errors import (
     CaseMismatchError,
     GammaOutOfRangeError,
@@ -296,25 +296,11 @@ def condition_vector(a, kind: SeriesKind, n: int, g1, g2) -> list:
     return [s[first], s[first + 1]]
 
 
-# interval placement of (gamma1, gamma2) per two-caustic case, over any
-# ordered numbers (Fractions here, floats in the search)
-_PLACEMENTS = {
-    CausticCase.S1: lambda a1, a2, a3, g1, g2: -a3 < g2 < 0 < g1 < a2,
-    CausticCase.S2: lambda a1, a2, a3, g1, g2: g2 < -a3 and 0 < g1 < a2,
-    CausticCase.S3: lambda a1, a2, a3, g1, g2: g2 < -a3 and a2 < g1 < a1,
-    CausticCase.S4: lambda a1, a2, a3, g1, g2: -a3 < g2 < 0 and a2 < g1 < a1,
-    CausticCase.T1: lambda a1, a2, a3, g1, g2: 0 < g1 < a2 < g2 < a1,
-    CausticCase.T2: lambda a1, a2, a3, g1, g2: 0 < g1 < a2 < a1 < g2,
-    CausticCase.T3: lambda a1, a2, a3, g1, g2: a2 < g1 < g2 < a1,
-    CausticCase.T4: lambda a1, a2, a3, g1, g2: a2 < g1 < a1 < g2,
-}
-
-
 # Views of the table under the names the benchmark's per-layer replay
 # (bench/wl_exact.py) probes: a missing name would null its metrics.  They go
 # once a benchmark-only change points the replay at the table.
 _EVEN_BRANCHES = {case: tuple(k.value for k in _CASE_KINDS[case] if _start(k) % 2 == 0)
-                  for case in _PLACEMENTS}
+                  for case in _CASE_INTERVALS}
 
 
 def _test_A(series: NormalizedSeries, m: int) -> bool:
@@ -326,8 +312,6 @@ def _test_B(series: NormalizedSeries, m: int) -> bool:
 
 
 def _check_case_consistency(params: HyperellipticParams, case: CausticCase) -> None:
-    a1, a2, a3 = params.a1, params.a2, params.a3
-    g1, g2 = params.gamma1, params.gamma2
     if case is CausticCase.LIGHT:
         if not params.is_lightlike:
             raise CaseMismatchError("light case needs the at-infinity sentinel")
@@ -336,9 +320,9 @@ def _check_case_consistency(params: HyperellipticParams, case: CausticCase) -> N
         if not params.is_double:
             raise CaseMismatchError("double case needs gamma2 == gamma1")
         return
-    if g2 is None or params.is_double:
+    if params.gamma2 is None or params.is_double:
         raise CaseMismatchError(f"case {case} needs two distinct finite caustics")
-    if not _PLACEMENTS[case](a1, a2, a3, g1, g2):
+    if not _placed(case, params.a1, params.a2, params.a3, params.gamma1, params.gamma2):
         raise CaseMismatchError(f"parameters do not satisfy the {case.value} placement")
 
 

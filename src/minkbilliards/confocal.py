@@ -437,12 +437,37 @@ def interval_partition(cp: CausticPair, ell: Ellipsoid) -> IntervalPartition:
     return IntervalPartition(tuple(pos), tuple(neg), has_infinite_b=cp.gamma2 is None)
 
 
+# Open (gamma1, gamma2) intervals of each two-caustic case as a function of
+# (a1, a2, a3), with the line type that carries the case; an unbounded side
+# is +-inf.  The one statement of the placements: classification, the exact
+# case check, the search rectangles and the CLI's line type all read it.
+_CASE_INTERVALS = {
+    CausticCase.S1: (LineType.SPACELIKE, lambda a1, a2, a3: ((0.0, a2), (-a3, 0.0))),
+    CausticCase.S2: (LineType.SPACELIKE, lambda a1, a2, a3: ((0.0, a2), (-math.inf, -a3))),
+    CausticCase.S3: (LineType.SPACELIKE, lambda a1, a2, a3: ((a2, a1), (-math.inf, -a3))),
+    CausticCase.S4: (LineType.SPACELIKE, lambda a1, a2, a3: ((a2, a1), (-a3, 0.0))),
+    CausticCase.T1: (LineType.TIMELIKE, lambda a1, a2, a3: ((0.0, a2), (a2, a1))),
+    CausticCase.T2: (LineType.TIMELIKE, lambda a1, a2, a3: ((0.0, a2), (a1, math.inf))),
+    CausticCase.T3: (LineType.TIMELIKE, lambda a1, a2, a3: ((a2, a1), (a2, a1))),
+    CausticCase.T4: (LineType.TIMELIKE, lambda a1, a2, a3: ((a2, a1), (a1, math.inf))),
+}
+
+
+def _placed(case: CausticCase, a1, a2, a3, g1, g2) -> bool:
+    """Whether (g1, g2) lies in the open intervals of the two-caustic case,
+    a time-like pair also with g1 < g2; over floats and Fractions alike."""
+    linetype, intervals = _CASE_INTERVALS[case]
+    (lo1, hi1), (lo2, hi2) = intervals(a1, a2, a3)
+    return lo1 < g1 < hi1 and lo2 < g2 < hi2 and (linetype is LineType.SPACELIKE or g1 < g2)
+
+
 def classify_case(cp: CausticPair, ell: Ellipsoid) -> CausticCase:
     """Case of the caustic pair per the admissible placements.
 
-    Space-like: S1..S4 by the types of the two caustics; time-like: T1..T4;
-    equal parameters inside (a2, a1) give the double caustic; the at-infinity
-    sentinel gives the light-like case.
+    Space-like: S1..S4 and time-like: T1..T4 by the intervals of
+    ``_CASE_INTERVALS`` for the line type; equal parameters inside (a2, a1)
+    give the double caustic; the at-infinity sentinel gives the light-like
+    case.
     """
     a1, a2, a3 = ell.a1, ell.a2, ell.a3
     if cp.is_lightlike:
@@ -450,44 +475,13 @@ def classify_case(cp: CausticPair, ell: Ellipsoid) -> CausticCase:
             return CausticCase.LIGHT
         raise InconsistentConfigurationError(f"light-like gamma1={cp.gamma1} out of range")
     g1, g2 = cp.gamma1, cp.gamma2
-    assert g2 is not None
     if cp.is_double:
         if a2 < g1 < a1 and a2 < g2 < a1:
             return CausticCase.DOUBLE
         raise InconsistentConfigurationError(
             f"double caustic {g1} must lie in ({a2}, {a1})")
-
-    def qt(g: float) -> QuadricType:
-        return quadric_type(g, ell)
-
-    if cp.linetype is LineType.SPACELIKE:
-        if not (g2 < 0.0 < g1 < a1):
-            raise InconsistentConfigurationError(
-                f"space-like pair ({g1}, {g2}) violates gamma2 < 0 < gamma1 < a1")
-        t1_, t2_ = qt(g1), qt(g2)
-        if t1_ is QuadricType.ELLIPSOID and t2_ is QuadricType.ELLIPSOID:
-            return CausticCase.S1
-        if t1_ is QuadricType.ELLIPSOID and t2_ is QuadricType.HYPERBOLOID_1SHEET_X3:
-            return CausticCase.S2
-        if t1_ is QuadricType.HYPERBOLOID_1SHEET_X2 and t2_ is QuadricType.HYPERBOLOID_1SHEET_X3:
-            return CausticCase.S3
-        if t1_ is QuadricType.HYPERBOLOID_1SHEET_X2 and t2_ is QuadricType.ELLIPSOID:
-            return CausticCase.S4
-        raise InconsistentConfigurationError(
-            f"space-like caustic types ({t1_}, {t2_}) match no case")
-    if cp.linetype is LineType.TIMELIKE:
-        if not (0.0 < g1 < g2):
-            raise InconsistentConfigurationError(
-                f"time-like pair ({g1}, {g2}) violates 0 < gamma1 < gamma2")
-        t1_, t2_ = qt(g1), qt(g2)
-        if t1_ is QuadricType.ELLIPSOID and t2_ is QuadricType.HYPERBOLOID_1SHEET_X2:
-            return CausticCase.T1
-        if t1_ is QuadricType.ELLIPSOID and t2_ is QuadricType.HYPERBOLOID_2SHEET:
-            return CausticCase.T2
-        if t1_ is QuadricType.HYPERBOLOID_1SHEET_X2 and t2_ is QuadricType.HYPERBOLOID_1SHEET_X2:
-            return CausticCase.T3
-        if t1_ is QuadricType.HYPERBOLOID_1SHEET_X2 and t2_ is QuadricType.HYPERBOLOID_2SHEET:
-            return CausticCase.T4
-        raise InconsistentConfigurationError(
-            f"time-like caustic types ({t1_}, {t2_}) match no case")
-    raise InconsistentConfigurationError("light-like pair must carry the sentinel")
+    for case, (linetype, _) in _CASE_INTERVALS.items():
+        if linetype is cp.linetype and _placed(case, a1, a2, a3, g1, g2):
+            return case
+    raise InconsistentConfigurationError(
+        f"{cp.linetype.value}-like pair ({g1}, {g2}) lies in the intervals of no case")

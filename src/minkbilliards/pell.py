@@ -88,11 +88,6 @@ class RatPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        return self.coeffs[-1]
-
     def __add__(self, other: "RatPoly") -> "RatPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         out = [Fraction(0)] * n
@@ -275,9 +270,9 @@ def _validate_params_for_variant(variant: PellVariant, params: HyperellipticPara
         raise GammaOutOfRangeError("the odd gamma1-variant requires gamma1 > 0")
     if variant is PellVariant.ODD_D and params.gamma2 >= 0:
         raise GammaOutOfRangeError("the odd gamma2-variant requires gamma2 < 0")
-    if params.is_double:
+    if params.is_double or params.is_lightlike:
         _degenerate_params((params.a1, params.a2, params.a3), params.gamma1,
-                           CausticCase.DOUBLE, n)
+                           CausticCase.DOUBLE if params.is_double else CausticCase.LIGHT, n)
 
 
 def solve_pell(params: HyperellipticParams, n: int,
@@ -324,7 +319,7 @@ def solve_pell(params: HyperellipticParams, n: int,
 
 
 def verify_pell(sol: PellSolution) -> bool:
-    """Exact check of the variant identity, degrees and the sign of the constant."""
+    """Exact check of the variant identity, the degrees and the stated constant."""
     try:
         dp, dq = variant_degrees(sol.variant, sol.n)
     except ThresholdViolationError:
@@ -333,8 +328,9 @@ def verify_pell(sol: PellSolution) -> bool:
         return False
     u, v = weight_polys(sol.variant, sol.params)
     const = _pell_constant(u, v, sol.p, sol.q)
-    # V(0) = 0, so R = U(0) p(0)^2 takes the sign of U(0)
-    return const is not None and const == sol.rhs and (const > 0) == (u.coeffs[0] > 0)
+    # no sign check: the constant is nonzero, V(0) = 0 and U(0) != 0, so
+    # R = U(0) p(0)^2 always has the sign of U(0)
+    return const is not None and const == sol.rhs
 
 
 def compose_pell(sol: PellSolution) -> PellSolution:

@@ -37,7 +37,6 @@ import numpy as np
 
 from .conditions import (
     _CASE_KINDS,
-    _PLACEMENTS,
     _branches,
     _start,
     HyperellipticParams,
@@ -46,10 +45,12 @@ from .conditions import (
     darboux_integrals,
 )
 from .confocal import (
+    _CASE_INTERVALS,
     CausticCase,
     CausticPair,
     Ellipsoid,
     EllipticCoords,
+    _placed,
     classify_case,
     interval_partition,
     line_caustics,
@@ -87,17 +88,15 @@ _log = logging.getLogger(__name__)
 condition_vector_floats = condition_vector
 
 
-_CASE_RECTS = {
-    # admissible (gamma1, gamma2) rectangles as functions of the ellipsoid
-    CausticCase.S1: lambda e: ((0.0, e.a2), (-e.a3, 0.0)),
-    CausticCase.S2: lambda e: ((0.0, e.a2), (-6.0 * e.a3, -e.a3)),
-    CausticCase.S3: lambda e: ((e.a2, e.a1), (-6.0 * e.a3, -e.a3)),
-    CausticCase.S4: lambda e: ((e.a2, e.a1), (-e.a3, 0.0)),
-    CausticCase.T1: lambda e: ((0.0, e.a2), (e.a2, e.a1)),
-    CausticCase.T2: lambda e: ((0.0, e.a2), (e.a1, 6.0 * e.a1)),
-    CausticCase.T3: lambda e: ((e.a2, e.a1), (e.a2, e.a1)),
-    CausticCase.T4: lambda e: ((e.a2, e.a1), (e.a1, 6.0 * e.a1)),
-}
+def _scan_rect(intervals):
+    return lambda e: tuple((max(lo, -6.0 * e.a3), min(hi, 6.0 * e.a1))
+                           for lo, hi in intervals(e.a1, e.a2, e.a3))
+
+
+# the case intervals clipped to the scan window [-6 a3, 6 a1], as functions of
+# the ellipsoid; the benchmark's grid replay (bench/wl_search.py) probes this name
+_CASE_RECTS = {case: _scan_rect(intervals) for case, (_, intervals) in _CASE_INTERVALS.items()}
+
 
 def _search_kind(case: CausticCase, n: int) -> SeriesKind | None:
     """Condition branch searched for (case, n): the first branch of the case
@@ -334,7 +333,7 @@ def _refine_candidates(spec: SearchSpec, kind: SeriesKind,
     counts.update(outside=0, duplicates=0)
     roots: list[tuple[float, float]] = []
     for (g1, g2) in xs[outcome == CONVERGED].tolist():
-        if not (g1lo < g1 < g1hi and g2lo < g2 < g2hi and _PLACEMENTS[case](*a, g1, g2)):
+        if not (g1lo < g1 < g1hi and g2lo < g2 < g2hi and _placed(case, *a, g1, g2)):
             counts["outside"] += 1
         elif any(abs(g1 - r1) < 1e-9 and abs(g2 - r2) < 1e-9 for (r1, r2) in roots):
             counts["duplicates"] += 1
@@ -400,23 +399,6 @@ def scan_singular_condition(a: tuple[float, float, float], case: CausticCase, n:
 
 # -- constructive tangent line --------------------------------------------------
 
-def _gamma_slots(cp: CausticPair, ell: Ellipsoid) -> dict[float, int]:
-    """Map each finite caustic parameter to the coordinate slot (0,1,2) whose
-    motion interval has it as an endpoint."""
-    part = interval_partition(cp, ell)
-    (c1, _), (_, b1), (b2, b3) = part.motion_intervals()
-    slots: dict[float, int] = {}
-    gammas = [cp.gamma1] + ([cp.gamma2] if cp.gamma2 is not None else [])
-    for g in gammas:
-        if g == c1:
-            slots[g] = 0
-        elif g == b1:
-            slots[g] = 1
-        elif g in (b2, b3):
-            slots[g] = 2
-    return slots
-
-
 def _tangent_basis(x: Vec3, grad: Vec3) -> tuple[Vec3, Vec3]:
     g = grad.euclid_normalized()
     ref = Vec3(1.0, 0.0, 0.0) if abs(g.x1) < 0.9 else Vec3(0.0, 1.0, 0.0)
@@ -443,10 +425,15 @@ def tangent_line_for_caustics(ell: Ellipsoid, cp: CausticPair,
     """
     part = interval_partition(cp, ell)
     (c1, _), (_, b1), (b2, b3) = part.motion_intervals()
-    slots = _gamma_slots(cp, ell)
-    if cp.gamma1 not in slots:
+    # the coordinate slot (0, 1, 2) whose motion interval has gamma1 as an endpoint
+    if cp.gamma1 == c1:
+        slot1 = 0
+    elif cp.gamma1 == b1:
+        slot1 = 1
+    elif cp.gamma1 in (b2, b3):
+        slot1 = 2
+    else:
         raise NoConvergenceError(f"gamma1={cp.gamma1} is not an interval endpoint")
-    slot1 = slots[cp.gamma1]
 
     fracs = [0.41, 0.63, 0.27, 0.52, 0.74, 0.36, 0.58, 0.47]
     offset = seed % len(fracs)

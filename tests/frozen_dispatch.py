@@ -2,8 +2,11 @@
 the series-kind table in ``conditions`` replaced: the even/odd branch tables
 and the three Hankel test bodies, the searched-branch table, the Pell
 variant table and degree arithmetic, and the per-variant Pell weights,
-constant signs, parameter and range checks and verification.
-``test_branch_table`` checks that the table gives the same answers.
+constant signs, parameter and range checks and verification.  Also the
+per-module caustic-case placements that the case-interval table in
+``confocal`` replaced: the quadric-type classification, the exact placement
+inequalities and the search rectangles.
+``test_branch_table`` checks that the tables give the same answers.
 Nothing in the package imports this module; the Hankel rank, series
 builds, modular certificate and Pell solve are the package's own.
 """
@@ -20,13 +23,15 @@ from minkbilliards.conditions import (
     divided_series,
     sqrt_series,
 )
-from minkbilliards.confocal import CausticCase
+from minkbilliards.confocal import CausticCase, CausticPair, Ellipsoid, QuadricType, quadric_type
 from minkbilliards.errors import (
     EmptyRangeError,
     GammaOutOfRangeError,
+    InconsistentConfigurationError,
     SingularCurveError,
     ThresholdViolationError,
 )
+from minkbilliards.minkowski import LineType
 from minkbilliards.pell import PellVariant, RatPoly, solve_pell
 from minkbilliards.series import SeriesKind, hankel_rank
 
@@ -318,3 +323,78 @@ def solve_pell_singular(a, gamma1, n: int, which: PellVariant):
     if which is PellVariant.LIGHT_ODD and not (-a[2] < gamma1 < a[1]):
         return None
     return solve_pell(HyperellipticParams(a[0], a[1], a[2], gamma1, gamma2), n, which)
+
+
+# -- caustic-case placements ----------------------------------------------------
+
+def classify_case(cp: CausticPair, ell: Ellipsoid) -> CausticCase:
+    a1, a2, a3 = ell.a1, ell.a2, ell.a3
+    if cp.is_lightlike:
+        if 0.0 < cp.gamma1 < a1 and cp.gamma1 != a2:
+            return CausticCase.LIGHT
+        raise InconsistentConfigurationError(f"light-like gamma1={cp.gamma1} out of range")
+    g1, g2 = cp.gamma1, cp.gamma2
+    assert g2 is not None
+    if cp.is_double:
+        if a2 < g1 < a1 and a2 < g2 < a1:
+            return CausticCase.DOUBLE
+        raise InconsistentConfigurationError(
+            f"double caustic {g1} must lie in ({a2}, {a1})")
+
+    def qt(g: float) -> QuadricType:
+        return quadric_type(g, ell)
+
+    if cp.linetype is LineType.SPACELIKE:
+        if not (g2 < 0.0 < g1 < a1):
+            raise InconsistentConfigurationError(
+                f"space-like pair ({g1}, {g2}) violates gamma2 < 0 < gamma1 < a1")
+        t1_, t2_ = qt(g1), qt(g2)
+        if t1_ is QuadricType.ELLIPSOID and t2_ is QuadricType.ELLIPSOID:
+            return CausticCase.S1
+        if t1_ is QuadricType.ELLIPSOID and t2_ is QuadricType.HYPERBOLOID_1SHEET_X3:
+            return CausticCase.S2
+        if t1_ is QuadricType.HYPERBOLOID_1SHEET_X2 and t2_ is QuadricType.HYPERBOLOID_1SHEET_X3:
+            return CausticCase.S3
+        if t1_ is QuadricType.HYPERBOLOID_1SHEET_X2 and t2_ is QuadricType.ELLIPSOID:
+            return CausticCase.S4
+        raise InconsistentConfigurationError(
+            f"space-like caustic types ({t1_}, {t2_}) match no case")
+    if cp.linetype is LineType.TIMELIKE:
+        if not (0.0 < g1 < g2):
+            raise InconsistentConfigurationError(
+                f"time-like pair ({g1}, {g2}) violates 0 < gamma1 < gamma2")
+        t1_, t2_ = qt(g1), qt(g2)
+        if t1_ is QuadricType.ELLIPSOID and t2_ is QuadricType.HYPERBOLOID_1SHEET_X2:
+            return CausticCase.T1
+        if t1_ is QuadricType.ELLIPSOID and t2_ is QuadricType.HYPERBOLOID_2SHEET:
+            return CausticCase.T2
+        if t1_ is QuadricType.HYPERBOLOID_1SHEET_X2 and t2_ is QuadricType.HYPERBOLOID_1SHEET_X2:
+            return CausticCase.T3
+        if t1_ is QuadricType.HYPERBOLOID_1SHEET_X2 and t2_ is QuadricType.HYPERBOLOID_2SHEET:
+            return CausticCase.T4
+        raise InconsistentConfigurationError(
+            f"time-like caustic types ({t1_}, {t2_}) match no case")
+    raise InconsistentConfigurationError("light-like pair must carry the sentinel")
+
+
+PLACEMENTS = {
+    CausticCase.S1: lambda a1, a2, a3, g1, g2: -a3 < g2 < 0 < g1 < a2,
+    CausticCase.S2: lambda a1, a2, a3, g1, g2: g2 < -a3 and 0 < g1 < a2,
+    CausticCase.S3: lambda a1, a2, a3, g1, g2: g2 < -a3 and a2 < g1 < a1,
+    CausticCase.S4: lambda a1, a2, a3, g1, g2: -a3 < g2 < 0 and a2 < g1 < a1,
+    CausticCase.T1: lambda a1, a2, a3, g1, g2: 0 < g1 < a2 < g2 < a1,
+    CausticCase.T2: lambda a1, a2, a3, g1, g2: 0 < g1 < a2 < a1 < g2,
+    CausticCase.T3: lambda a1, a2, a3, g1, g2: a2 < g1 < g2 < a1,
+    CausticCase.T4: lambda a1, a2, a3, g1, g2: a2 < g1 < a1 < g2,
+}
+
+CASE_RECTS = {
+    CausticCase.S1: lambda e: ((0.0, e.a2), (-e.a3, 0.0)),
+    CausticCase.S2: lambda e: ((0.0, e.a2), (-6.0 * e.a3, -e.a3)),
+    CausticCase.S3: lambda e: ((e.a2, e.a1), (-6.0 * e.a3, -e.a3)),
+    CausticCase.S4: lambda e: ((e.a2, e.a1), (-e.a3, 0.0)),
+    CausticCase.T1: lambda e: ((0.0, e.a2), (e.a2, e.a1)),
+    CausticCase.T2: lambda e: ((0.0, e.a2), (e.a1, 6.0 * e.a1)),
+    CausticCase.T3: lambda e: ((e.a2, e.a1), (e.a2, e.a1)),
+    CausticCase.T4: lambda e: ((e.a2, e.a1), (e.a1, 6.0 * e.a1)),
+}

@@ -7,6 +7,7 @@ import importlib
 import logging
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -15,13 +16,16 @@ import pytest
 import frozen_dispatch as frozen
 from minkbilliards import (
     CausticCase,
+    CausticPair,
     Ellipsoid,
     HyperellipticParams,
+    LineType,
     PellSolution,
     PellVariant,
     RatPoly,
     SeriesKind,
     cayley_test,
+    classify_case,
     compose_pell,
     divided_series,
     solve_pell,
@@ -30,7 +34,12 @@ from minkbilliards import (
     verify_pell,
 )
 from minkbilliards import conditions, pell, search
-from minkbilliards.errors import GammaOutOfRangeError, SingularCurveError
+from minkbilliards.confocal import _placed
+from minkbilliards.errors import (
+    GammaOutOfRangeError,
+    InconsistentConfigurationError,
+    SingularCurveError,
+)
 from minkbilliards.pell import _VARIANT_KINDS, variant_degrees
 from test_conditions import EXACT_DOUBLE, EXACT_LIGHT, EXACT_N6, EXACT_S1_N4
 
@@ -76,7 +85,7 @@ def _seeded_pairs(case: CausticCase, rng: random.Random, count: int):
         else:
             (lo1, hi1), (lo2, hi2) = search._CASE_RECTS[case](ell)
             g1, g2 = rng.uniform(lo1, hi1), rng.uniform(lo2, hi2)
-            if not conditions._PLACEMENTS[case](*A421, g1, g2):
+            if not frozen.PLACEMENTS[case](*A421, g1, g2):
                 continue
         try:
             out.append(HyperellipticParams.from_floats(*A421, g1, g2))
@@ -191,12 +200,22 @@ def _pell_inputs():
     return exact + _pell_params(rng, 96)
 
 
+def _lightlike_out_of_range(params: HyperellipticParams) -> bool:
+    g = params.gamma1
+    return params.is_lightlike and (not -params.a3 < g < params.a1 or g in (params.a2, 0))
+
+
 @pytest.mark.parametrize("variant", list(PellVariant))
 def test_pell_weights_signs_and_checks_match_frozen(variant):
     shapes = set()
     for params in _pell_inputs():
-        assert (_outcome(pell._validate_params_for_variant, variant, params, 6)
-                == _outcome(frozen.validate_params_for_variant, variant, params))
+        # the frozen check let a light-like gamma1 outside (-a3, a1), or at
+        # a2 or 0, through to the solve; it is now out of range as in
+        # cayley_test and solve_pell_singular
+        want = _outcome(frozen.validate_params_for_variant, variant, params)
+        if want is None and _lightlike_out_of_range(params):
+            want = GammaOutOfRangeError
+        assert _outcome(pell._validate_params_for_variant, variant, params, 6) == want
         fits = _outcome(pell._check_shape, variant, params) is None
         assert fits == (_outcome(frozen.validate_params_for_variant, variant, params)
                         is not SingularCurveError)
@@ -272,6 +291,110 @@ def test_lightlike_gamma_zero_is_out_of_range():
             conditions.lightlike_test(a, F(0), n)
         with pytest.raises(GammaOutOfRangeError):
             solve_pell_singular(a, F(0), n, PellVariant.LIGHT_EVEN)
+
+
+# -- the caustic-case table -------------------------------------------------------
+
+# (a1, a2, a3) with a3 below a2, between a2 and a1, and above a1
+CASE_ELLIPSOIDS = [(4.0, 2.0, 1.0), (4.0, 2.0, 3.0), (4.0, 2.0, 5.0),
+                   (1.0, 6.0 / 7.0, 6.0), (6.0, 1.5, 2.0)]
+
+
+def _boundary_gammas(a, rng: random.Random) -> list[float]:
+    """Caustic parameters across every boundary of the case intervals of the
+    ellipsoid ``a``: the boundaries 0, -a3, a2 and a1 and their float
+    neighbours, the midpoints, points beyond (up to the largest finite
+    floats), and seeded draws."""
+    a1, a2, a3 = a
+    marks = sorted({-a3, 0.0, a2, a1})
+    out = set(marks) | {marks[0] - 1.0, marks[-1] + 1.0, -sys.float_info.max, sys.float_info.max}
+    out |= {math.nextafter(m, d) for m in marks for d in (-math.inf, math.inf)}
+    out |= {(lo + hi) / 2 for lo, hi in zip(marks, marks[1:])}
+    out |= {rng.uniform(2 * marks[0], 2 * marks[-1]) for _ in range(4)}
+    return sorted(out)
+
+
+def _float_pairs(a, rng: random.Random):
+    gammas = _boundary_gammas(a, rng)
+    return [(g1, g2) for g1 in gammas for g2 in gammas + [-math.inf, math.inf, math.nan]]
+
+
+@pytest.mark.parametrize("a", CASE_ELLIPSOIDS)
+def test_classify_case_matches_frozen(a):
+    # equal pairs (the double caustic and its range) are among the pairs, and
+    # a light-like line with a finite gamma2 is rejected as before; the one
+    # difference is gamma2 = -inf, which the quadric types called S2 or S3
+    ell = Ellipsoid(*a)
+    rng = random.Random(2100)
+    cases = set()
+    pairs = _float_pairs(a, rng)
+    lines = [CausticPair(g1, g2, lt, -1 if lt is LineType.SPACELIKE else 1)
+             for g1, g2 in pairs for lt in LineType]
+    lines += [CausticPair(g1, None, LineType.LIGHTLIKE, 1) for g1, _ in pairs]
+    for cp in lines:
+        got = _outcome(classify_case, cp, ell)
+        want = _outcome(frozen.classify_case, cp, ell)
+        if cp.gamma2 == -math.inf and cp.linetype is LineType.SPACELIKE:
+            assert want in (CausticCase.S2, CausticCase.S3, InconsistentConfigurationError)
+            want = InconsistentConfigurationError
+        assert got == want, (cp, a)
+        cases.add(got)
+    assert cases == set(CausticCase) | {InconsistentConfigurationError}
+
+
+def test_classify_case_rejects_infinite_gamma2():
+    # CausticPair's sentinel for the plane at infinity is None, never an
+    # IEEE infinity: both infinities are rejected (the quadric types took
+    # gamma2 = -inf as a one-sheeted hyperboloid)
+    ell = Ellipsoid(*A421)
+    for g1, case in ((1.0, CausticCase.S2), (3.0, CausticCase.S3)):
+        cp = CausticPair(g1, -math.inf, LineType.SPACELIKE, -1)
+        assert frozen.classify_case(cp, ell) is case
+        with pytest.raises(InconsistentConfigurationError):
+            classify_case(cp, ell)
+    for g1 in (1.0, 3.0):
+        cp = CausticPair(g1, math.inf, LineType.TIMELIKE, 1)
+        with pytest.raises(InconsistentConfigurationError):
+            frozen.classify_case(cp, ell)
+        with pytest.raises(InconsistentConfigurationError):
+            classify_case(cp, ell)
+
+
+def _fraction_gammas(a) -> list[F]:
+    """``_degenerate_gammas`` and their neighbours at distance 1e-9."""
+    eps = F(1, 10 ** 9)
+    return sorted({g + d for g in _degenerate_gammas(a) for d in (-eps, 0, eps)})
+
+
+@pytest.mark.parametrize("a", CASE_ELLIPSOIDS)
+def test_placed_matches_frozen_placements(a):
+    # over Fractions the placements agree everywhere; over floats they
+    # differ only at an infinite gamma, which the table's open intervals
+    # never hold
+    fa = tuple(F(x) for x in a)
+    exact = _fraction_gammas(fa)
+    floats = _float_pairs(a, random.Random(2101))
+    placed = 0
+    for case in TWO_CAUSTIC:
+        for g1 in exact:
+            for g2 in exact:
+                got = _placed(case, *fa, g1, g2)
+                assert got is frozen.PLACEMENTS[case](*fa, g1, g2), (case, fa, g1, g2)
+                placed += got
+        for g1, g2 in floats:
+            want = frozen.PLACEMENTS[case](*a, g1, g2) and math.isfinite(g1 + g2)
+            assert _placed(case, *a, g1, g2) is want, (case, a, g1, g2)
+    assert placed > 0
+
+
+def test_case_rects_are_the_clipped_table():
+    assert list(search._CASE_RECTS) == list(frozen.CASE_RECTS) == TWO_CAUSTIC
+    for a in CASE_ELLIPSOIDS + [(7.5, 0.25, 0.125), (1e6, 1e-3, 3e5)]:
+        ell = Ellipsoid(*a)
+        for case in TWO_CAUSTIC:
+            rect = search._CASE_RECTS[case](ell)
+            assert rect == frozen.CASE_RECTS[case](ell)
+            assert all(type(x) is float for side in rect for x in side)
 
 
 # -- the names the benchmark probes ---------------------------------------------

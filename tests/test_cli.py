@@ -251,8 +251,18 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     assert _modules_after("import minkbilliards.cli") == set()
 
 
-def test_non_search_commands_leave_numpy_unloaded():
+def test_non_search_commands_leave_numpy_unloaded(tmp_path):
+    # caustics classifies the case, so the case table must live outside search
+    from fractions import Fraction as F
+    from minkbilliards import HyperellipticParams, PellVariant, solve_pell
+    cert = tmp_path / "cert.json"
+    cert.write_text(solve_pell(HyperellipticParams(F(1), F(6, 7), F(6), F(3, 4), F(-3)),
+                               4, PellVariant.EVEN_B).to_json())
     code = ("from minkbilliards.cli import main\n"
+            "assert main(['classify', '1', '0', '1']) == 0\n"
+            "assert main(['caustics', '--ellipsoid', '4,2,1', '--point', '0.1,0.2,0.05',"
+            " '--dir', '1,0.1,0']) == 0\n"
+            f"assert main(['verify-pell', '--cert', {str(cert)!r}]) == 0\n"
             "assert main(['check-cayley', '--params', '1,6/7,6,3/4,-3', '--case', 'S1',"
             " '--n', '4']) == 0\n"
             "assert main(['trace', '--ellipsoid', '4,2,1', '--point', '0.1,0.2,0.05',"

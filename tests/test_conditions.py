@@ -42,6 +42,8 @@ EXACT_N6 = HyperellipticParams(F(4), F(2), F(1), F(-2), F(-4, 3))
 EXACT_DOUBLE = ((F(6), F(3, 2), F(2)), F(2))
 #   - light-like even, n=6
 EXACT_LIGHT = ((F(8), F(7), F(15)), F(840, 169))
+#   - two-caustic odd block (gamma1-divided series) at n=5, placement S2
+EXACT_S2_N5 = HyperellipticParams(F(4), F(2), F(3), F(96, 49), F(-32, 5))
 
 
 def params421(g1, g2) -> HyperellipticParams:

@@ -33,7 +33,7 @@ from minkbilliards.errors import (
 from minkbilliards.pell import variant_degrees, weight_polys
 from minkbilliards.search import pell_variants_for
 from minkbilliards.series import MODULUS
-from test_conditions import EXACT_DOUBLE, EXACT_LIGHT, EXACT_N6, EXACT_S1_N4
+from test_conditions import EXACT_DOUBLE, EXACT_LIGHT, EXACT_N6, EXACT_S1_N4, EXACT_S2_N5
 
 
 def test_ratpoly_ops():
@@ -95,6 +95,19 @@ def test_equivalence_solve_iff_rank():
     # positive instance
     assert cayley_test(EXACT_S1_N4, CausticCase.S1, 4)
     assert solve_pell(EXACT_S1_N4, 4, PellVariant.EVEN_B) is not None
+
+
+def test_solve_odd_c_exact_vector():
+    # the exact odd period: the S2 pair satisfies the n=5 rank test, its oddC
+    # certificate verifies, and the composition verifies at n=10
+    assert cayley_test(EXACT_S2_N5, CausticCase.S2, 5)
+    sol = solve_pell(EXACT_S2_N5, 5, PellVariant.ODD_C)
+    assert sol is not None and verify_pell(sol)
+    assert sol.rhs == F(-49, 96)
+    assert sol.p.coeffs == (F(1), F(-16, 5), F(-128, 5))
+    assert sol.q.coeffs == (F(128, 5),)
+    comp = compose_pell(sol)
+    assert comp.n == 10 and verify_pell(comp)
 
 
 def test_verify_rejects_perturbation():
@@ -174,6 +187,18 @@ def test_singular_light():
     assert solve_pell_singular((F(4), F(2), F(1)), F(3), 5, PellVariant.LIGHT_ODD) is None
     # parity mismatches are absent
     assert solve_pell_singular(a, g, 5, PellVariant.LIGHT_EVEN) is None
+
+
+@pytest.mark.parametrize("g", [F(5), F(-3, 2)])
+def test_solve_pell_checks_the_lightlike_range(g):
+    # gamma1 beyond a1 or below -a3 is no light-like caustic parameter, for
+    # solve_pell as for cayley_test and solve_pell_singular
+    params = HyperellipticParams(F(4), F(2), F(1), g, None)
+    for variant, n in ((PellVariant.LIGHT_EVEN, 6), (PellVariant.LIGHT_ODD, 5)):
+        with pytest.raises(GammaOutOfRangeError):
+            solve_pell(params, n, variant)
+    with pytest.raises(GammaOutOfRangeError):
+        cayley_test(params, CausticCase.LIGHT, 6)
 
 
 def test_singular_light_equivalence():

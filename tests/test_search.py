@@ -229,6 +229,19 @@ def test_cross_validate_exact_vector_full_pipeline():
     assert doc["valid"] is True and doc["case"] == "S1"
 
 
+def test_cross_validate_exact_odd_vector():
+    # the exact rational n=5 configuration on an ellipsoid with a3 > a2: the
+    # float pair classifies as S2 and validates end to end
+    ell = Ellipsoid(4.0, 2.0, 3.0)
+    cp = CausticPair(96 / 49, -32 / 5, LineType.SPACELIKE, -1)
+    assert classify_case(cp, ell) is CausticCase.S2
+    rep = cross_validate(ell, cp, 5)
+    assert rep.cayley_pass and rep.pell_certificate is not None
+    sig = rep.signature
+    assert (sig.n, sig.m1, sig.n1, sig.n2) == (5, 2, 3, 2)
+    assert rep.valid
+
+
 def _reference_cross_validate(ell, cp, n, starts=3):
     """cross_validate with detect_period, lam3 sweep included, on every
     start, for a two-caustic case.  The exact side is cross_validate's own,
