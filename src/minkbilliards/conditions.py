@@ -19,8 +19,9 @@ index, its first named coefficient: 4 for A, doubleA and lightA, 2 for B and
 doubleB, 3 for C, D and lightB.  The kind is a branch at n iff n = s (mod 2)
 and n >= s + 2.  Its Hankel block is r x (r-1) from coefficient s, with
 r = (n - s)/2 + 1, and the condition holds iff that block has rank < r - 1.
-A period n is admitted iff some branch of the case at n holds.  The search's
-branch and the Pell variants' degrees follow from the same start index.
+A period n is admitted iff some branch of the case at n holds.  The block
+ends at coefficient n - 1; the Pell solve reads it too.  The search's branch
+and the Pell variants' degrees follow from the same start index.
 
 Every Hankel test runs twice at most: first on the series built modulo the
 prime p of ``series.MODULUS``, where a block of full rank proves full rank
@@ -50,7 +51,8 @@ from .series import (
     NonUnitError,
     NormalizedSeries,
     SeriesKind,
-    hankel_rank,
+    hankel_block,
+    matrix_rank,
     normalized_branch_poly,
     series_div,
     series_sqrt,
@@ -227,49 +229,58 @@ def _branches(case: CausticCase, n: int) -> tuple[SeriesKind, ...]:
     return tuple(kind for kind in _CASE_KINDS[case] if _is_branch(kind, n))
 
 
-def _deficient(kind: SeriesKind, series: NormalizedSeries, n: int) -> bool:
-    """Whether the kind's block at period n, r x (r-1) from coefficient s with
-    r = (n - s)/2 + 1, has rank < r - 1."""
+def _block(kind: SeriesKind, series: NormalizedSeries, n: int) -> tuple[tuple, ...]:
+    """The kind's Hankel block at period n, r x (r-1) from coefficient s with
+    r = (n - s)/2 + 1; its columns reversed, the q-part of the Pell system."""
     s = _start(kind)
     r = (n - s) // 2 + 1
-    return hankel_rank(series, s, r, r - 1) < r - 1
+    return hankel_block(series, s, r, r - 1).entries
+
+
+def _deficient(kind: SeriesKind, series: NormalizedSeries, n: int) -> bool:
+    """Whether the kind's block at period n, r x (r-1), has rank < r - 1."""
+    block = _block(kind, series, n)
+    return matrix_rank(block) < len(block) - 1
 
 
 def _required_order(n: int) -> int:
-    return n + 2
+    """n - 1: the last coefficient that a block at period n or p* reads."""
+    return n - 1
+
+
+def _kind_series(params: HyperellipticParams, kinds, n: int, number=Fraction):
+    """The series of each kind in ``kinds`` at period n, as it is read: the
+    square root to ``_required_order(n)`` once, divided as the kind needs."""
+    base = sqrt_series(params, _required_order(n), number)
+    for kind in kinds:
+        yield base if kind is base.kind else divided_series(base, kind, params)
+
+
+def _any_deficient(params: HyperellipticParams, kinds, n: int, number) -> bool:
+    """Whether the block of some kind in ``kinds`` at period n is deficient
+    over ``number``; the first deficient kind, in order, decides."""
+    series = _kind_series(params, kinds, n, number)
+    return any(_deficient(kind, s, n) for kind, s in zip(kinds, series))
+
+
+def _full_rank_mod_p(deficient) -> bool:
+    """Whether ``deficient(ModP)`` is False, which proves the exact verdict
+    False: the series mod p reduces the rational one, so full rank mod p is
+    full rank over Q.  A deficient block mod p, or no reduction, proves nothing."""
+    try:
+        return not deficient(ModP)
+    except NonUnitError:
+        return False
 
 
 def _certified(deficient) -> bool:
-    """Exact verdict of a Hankel test ``deficient(number)``, decided mod p
-    when it can be.
-
-    The series mod p is the reduction of the rational one, so a block of
-    full rank mod p has full rank over Q: a False verdict mod p is the exact
-    verdict.  A deficient block mod p, or a value without a reduction,
-    leaves the decision to the rational series.
-    """
-    try:
-        if not deficient(ModP):
-            return False
-    except NonUnitError:
-        pass
-    return deficient(Fraction)
+    """Exact verdict of a Hankel test ``deficient(number)``, mod p first."""
+    return not _full_rank_mod_p(deficient) and deficient(Fraction)
 
 
 def _satisfied(params: HyperellipticParams, kinds: tuple[SeriesKind, ...], n: int) -> bool:
-    """Exact verdict that the block of some kind in ``kinds`` is deficient at
-    period n; the kinds are tested in order and the first deficient one
-    decides."""
-    if not kinds:
-        return False
-
-    def deficient(number) -> bool:
-        base = sqrt_series(params, _required_order(n), number)
-        return any(_deficient(kind, base if kind is base.kind
-                              else divided_series(base, kind, params), n)
-                   for kind in kinds)
-
-    return _certified(deficient)
+    """Exact verdict that the block of some kind in ``kinds`` is deficient at n."""
+    return bool(kinds) and _certified(lambda number: _any_deficient(params, kinds, n, number))
 
 
 def condition_vector(a, kind: SeriesKind, n: int, g1, g2) -> list:
@@ -285,7 +296,7 @@ def condition_vector(a, kind: SeriesKind, n: int, g1, g2) -> list:
     parameters the values over a whole search grid in one call.
 
     The series is built through order ``first + 1``, the second coefficient
-    returned, not through ``_required_order(n)``: a coefficient of
+    returned, not through ``_required_order(n)`` = n - 1: a coefficient of
     ``series_sqrt`` or ``series_div`` depends only on lower-order ones, so
     the two values are the same, bit for bit, as those of the longer series.
     """

@@ -17,12 +17,12 @@ are removed.  V(0) = 0, so R = U(0) p(0)^2 and sign(R) = sign U(0).  Working
 with the normalized series absorbs the irrational factor sqrt(P(0)) into q,
 so p, q and R are exactly rational; p* monic makes p(0) = 1, so R = U(0).
 
-The solve is decided mod p first.  The q-part of the linear system is built
-from the series modulo the prime p of ``series.MODULUS``; when its columns
-are independent mod p they are independent over Q, no solution exists and
-``solve_pell`` returns None without building the rational series.  Only a
-dependent system mod p (or a parameter that is not a p-unit) goes on to the
-exact nullspace, and every returned solution comes from that exact path.
+The q-part of the vanishing system, orders deg p + 1 .. n - 1, is the Hankel
+block ``conditions._block`` of the variant's kind with its columns reversed,
+on the series built to ``conditions._required_order(n)`` = n - 1.  Its gate
+mod p is the rank test's: full rank mod p is full rank over Q, so None comes
+without the rational series; a deficient block mod p (or a parameter that is
+not a p-unit) goes on to the exact nullspace.
 """
 
 from __future__ import annotations
@@ -44,13 +44,15 @@ from .conditions import (
     _CASE_KINDS,
     _KINDS,
     HyperellipticParams,
+    _any_deficient,
+    _block,
     _degenerate_params,
+    _full_rank_mod_p,
     _is_branch,
+    _kind_series,
     _start,
-    divided_series,
-    sqrt_series,
 )
-from .series import ModP, NonUnitError, SeriesKind, matrix_rank, nullspace, poly_mul_frac
+from .series import SeriesKind, nullspace, poly_mul_frac
 
 
 # -- exact polynomial arithmetic ---------------------------------------------
@@ -237,22 +239,6 @@ class PellSolution:
                             Fraction(0) if rhs is None else rhs)
 
 
-def _variant_series(variant: PellVariant, params: HyperellipticParams, order: int,
-                    number=Fraction):
-    base = sqrt_series(params, order, number)
-    kind = _VARIANT_KINDS[variant]
-    if kind is base.kind:
-        return base
-    return divided_series(base, kind, params)
-
-
-def _q_rows(s, dp: int, dq: int, n: int) -> list[list]:
-    """q-only part of the triangular system: orders dp+1 .. n-1."""
-    zero = s[0] - s[0]
-    return [[s[k - j] if 0 <= k - j else zero for j in range(dq + 1)]
-            for k in range(dp + 1, n)]
-
-
 def _check_shape(variant: PellVariant, params: HyperellipticParams) -> None:
     """Raise SingularCurveError unless the parameters have the caustic roots
     of the variant's branch polynomial."""
@@ -270,31 +256,37 @@ def _validate_params_for_variant(variant: PellVariant, params: HyperellipticPara
         raise GammaOutOfRangeError("the odd gamma1-variant requires gamma1 > 0")
     if variant is PellVariant.ODD_D and params.gamma2 >= 0:
         raise GammaOutOfRangeError("the odd gamma2-variant requires gamma2 < 0")
-    if params.is_double or params.is_lightlike:
-        _degenerate_params((params.a1, params.a2, params.a3), params.gamma1,
-                           CausticCase.DOUBLE if params.is_double else CausticCase.LIGHT, n)
+    _has_condition(params, n)     # for the degenerate range check
+
+
+def _has_condition(params: HyperellipticParams, n: int) -> bool:
+    """False where ``conditions._degenerate_params`` finds the double or
+    light-like parameters no condition at n; raises its range error."""
+    if not (params.is_double or params.is_lightlike):
+        return True
+    case = CausticCase.DOUBLE if params.is_double else CausticCase.LIGHT
+    a = (params.a1, params.a2, params.a3)
+    return _degenerate_params(a, params.gamma1, case, n) is not None
 
 
 def solve_pell(params: HyperellipticParams, n: int,
                variant: PellVariant) -> PellSolution | None:
     """Solve the variant's identity at period n, or return None.
 
-    Builds the linear system forcing p*(x) + q*(x) S(x) to vanish to order n
-    at 0, first mod p (independent columns: None) and then exactly: computes
-    the rational nullspace, picks the solution with q of minimal degree,
-    makes p* monic, and transports to s = 1/x.  A value is returned iff the
-    corresponding rank-type periodicity condition holds.
+    Forces p*(x) + q*(x) S(x) to vanish to order n at 0, first mod p and
+    then exactly: computes the rational nullspace of its q-part, picks the
+    solution with q of minimal degree, makes p* monic, and transports to
+    s = 1/x.  A value is returned iff the corresponding rank-type
+    periodicity condition holds, which a degenerate case may lack at n.
     """
     _validate_params_for_variant(variant, params, n)
     dp, dq = variant_degrees(variant, n)
-    try:
-        modular = _variant_series(variant, params, n, ModP).coeffs
-        if matrix_rank(_q_rows(modular, dp, dq, n)) == dq + 1:
-            return None     # independent columns mod p, hence over Q
-    except NonUnitError:
-        pass
-    s = _variant_series(variant, params, n).coeffs
-    kernel = nullspace(_q_rows(s, dp, dq, n), dq + 1)
+    kind = _VARIANT_KINDS[variant]
+    if not _has_condition(params, n) or _full_rank_mod_p(
+            lambda number: _any_deficient(params, (kind,), n, number)):
+        return None
+    (s,) = _kind_series(params, (kind,), n)
+    kernel = nullspace([row[::-1] for row in _block(kind, s, n)], dq + 1)
     if not kernel:
         return None
     qvec = min(kernel, key=lambda v: max((j for j, x in enumerate(v) if x != 0), default=-1))
@@ -303,8 +295,6 @@ def solve_pell(params: HyperellipticParams, n: int,
     pvec = [-sum(qvec[j] * s[k - j] for j in range(min(k, dq) + 1)) for k in range(dp + 1)]
     pstar = RatPoly.of(pvec)
     qstar = RatPoly.of(qvec)
-    if pstar.is_zero or qstar.is_zero:
-        return None
     lead = pvec[dp]
     if lead != 0:
         pstar = pstar.scale(1 / lead)

@@ -614,7 +614,7 @@ def closure_error_at(traj: Trajectory, n: int) -> float:
 
 
 def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
-                   starts: int = 3, rationalize_bound: int = 10 ** 9) -> ValidationReport:
+                   starts: int = 3) -> ValidationReport:
     """Full pipeline: exact tests, Pell certificate, multi-start tracing,
     period detection, parity, Chasles and the winding-number residuals.
 
@@ -624,9 +624,7 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
     ``ValidationReport.gates`` that fails is recorded as stage ``gate``."""
     case = classify_case(cp, ell)
     g2 = cp.gamma1 if cp.is_double else cp.gamma2    # snap the double caustic
-    params = HyperellipticParams.from_floats(ell.a1, ell.a2, ell.a3, cp.gamma1,
-                                             None if g2 is None else g2,
-                                             rationalize_bound)
+    params = HyperellipticParams.from_floats(ell.a1, ell.a2, ell.a3, cp.gamma1, g2)
     report = ValidationReport(
         ellipsoid=(ell.a1, ell.a2, ell.a3), case=case, n=n,
         gamma1=cp.gamma1, gamma2=g2, cayley_pass=False,

@@ -19,7 +19,6 @@ from minkbilliards.conditions import (
     HyperellipticParams,
     _certified,
     _check_case_consistency,
-    _required_order,
     divided_series,
     sqrt_series,
 )
@@ -61,6 +60,12 @@ ODD_BRANCHES: dict[CausticCase, tuple[str, ...]] = {
     CausticCase.T3: (),
     CausticCase.T4: (),
 }
+
+
+def _required_order(n: int) -> int:
+    # the order the dispatch built its series to, three past the last
+    # coefficient any block reads
+    return n + 2
 
 
 def hankel_A(series, m: int) -> bool:

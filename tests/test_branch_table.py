@@ -407,8 +407,9 @@ def _probe(dotted: str):
 
 
 def test_benchmark_probes_resolve_and_keep_their_call_shape():
-    # the exact replay: one series at _required_order(n), then the A and B
-    # blocks named by _EVEN_BRANCHES through _test_A and _test_B at m = n/2
+    # the exact replay: one series at _required_order(n) = n - 1, the last
+    # coefficient a block reads, then the A and B blocks named by
+    # _EVEN_BRANCHES through _test_A and _test_B at m = n/2
     required_order = _probe("conditions._required_order")
     branches = _probe("conditions._EVEN_BRANCHES")
     block_tests = {"A": _probe("conditions._test_A"), "B": _probe("conditions._test_B")}
@@ -419,7 +420,7 @@ def test_benchmark_probes_resolve_and_keep_their_call_shape():
     for case in TWO_CAUSTIC:
         for params in _seeded_pairs(case, rng, 1) + [EXACT_S1_N4] * (case is CausticCase.S1):
             for n in (4, 8, 16):
-                assert required_order(n) == n + 2
+                assert required_order(n) == n - 1
                 base = sqrt_series(params, required_order(n))
                 for branch in branches[case]:
                     series = base if branch == "A" else divided_series(base, SeriesKind.B, params)

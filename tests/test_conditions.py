@@ -299,10 +299,10 @@ def test_adaptive_gauss_legendre_panel_cap_raises():
 
 
 def _full_order_condition_vector(a, kind, n, g1, g2):
-    """The condition vector read off the series built through order n + 2
-    (``_required_order``), as the exact engine builds it."""
+    """The condition vector read off the series built through order n + 2,
+    as the exact engine once built it: longer than ``_required_order(n)``."""
     caustics, divisors, first = conditions._KINDS[kind]
-    order = conditions._required_order(n)
+    order = n + 2
     s = series_sqrt(conditions._branch_poly(a, caustics, (g1, g2)), order)
     s = conditions._divide(s, divisors, (g1, g2), order)
     return [s[first], s[first + 1]]

@@ -17,22 +17,25 @@ from minkbilliards import (
     solve_pell_singular,
     verify_pell,
 )
+from minkbilliards import conditions, search
 from minkbilliards.conditions import (
     _certified,
     _test_A,
+    divided_series,
     double_caustic_test,
     lightlike_test,
     sqrt_series,
 )
-from minkbilliards.confocal import CausticCase
+from minkbilliards.confocal import CausticCase, Ellipsoid, _placed
 from minkbilliards.errors import (
     GammaOutOfRangeError,
+    InsufficientOrderError,
     ThresholdViolationError,
     UnverifiedInputError,
 )
-from minkbilliards.pell import variant_degrees, weight_polys
+from minkbilliards.pell import _VARIANT_KINDS, variant_degrees, weight_polys
 from minkbilliards.search import pell_variants_for
-from minkbilliards.series import MODULUS
+from minkbilliards.series import MODULUS, SeriesKind
 from test_conditions import EXACT_DOUBLE, EXACT_LIGHT, EXACT_N6, EXACT_S1_N4, EXACT_S2_N5
 
 
@@ -74,27 +77,100 @@ def test_solve_even_b_exact_vector():
     assert sol.rhs < 0     # sign of the caustic product in the S1 placement
 
 
+# the variant that certifies each kind's condition
+_KIND_VARIANTS = {kind: variant for variant, kind in _VARIANT_KINDS.items()}
+
+
+def _exact_kind_series(params, kind, order):
+    """The exact series of the kind, built here from its public pieces."""
+    base = sqrt_series(params, order)
+    return base if kind is base.kind else divided_series(base, kind, params)
+
+
+def _rational_pairs(case, rng, count):
+    """``count`` small-height rational pairs of the case on (4,2,1)."""
+    (lo1, hi1), (lo2, hi2) = (tuple(F(x) for x in side)
+                              for side in search._CASE_RECTS[case](Ellipsoid(4.0, 2.0, 1.0)))
+    out = []
+    while len(out) < count:
+        g1 = lo1 + (hi1 - lo1) * F(rng.randint(1, 99), 100)
+        g2 = lo2 + (hi2 - lo2) * F(rng.randint(1, 99), 100)
+        if _placed(case, F(4), F(2), F(1), g1, g2):
+            out.append(HyperellipticParams(F(4), F(2), F(1), g1, g2))
+    return out
+
+
 def test_equivalence_solve_iff_rank():
-    # the nullspace is nontrivial exactly when the rank test passes
+    # for every branch of every two-caustic case at n = 3..12, the nullspace
+    # is nontrivial exactly when the kind's block is deficient
     rng = random.Random(20)
-    agree = 0
-    for _ in range(30):
-        g1 = F(rng.randint(1, 15), 8)
-        g2 = F(-rng.randint(1, 7), 8)
-        try:
-            p = HyperellipticParams(F(4), F(2), F(1), g1, g2)
-        except Exception:
-            continue
-        if not (-1 < g2 < 0 < g1 < 2):
-            continue
-        rank_true = cayley_test(p, CausticCase.S1, 4)
-        sol = solve_pell(p, 4, PellVariant.EVEN_B)
-        assert (sol is not None) == rank_true
-        agree += 1
-    assert agree >= 20
-    # positive instance
-    assert cayley_test(EXACT_S1_N4, CausticCase.S1, 4)
-    assert solve_pell(EXACT_S1_N4, 4, PellVariant.EVEN_B) is not None
+    configs = [(case, params, range(3, 13))
+               for case in conditions._CASE_INTERVALS for params in _rational_pairs(case, rng, 3)]
+    configs += [(CausticCase.S1, EXACT_S1_N4, (4, 8, 12)), (CausticCase.S2, EXACT_S2_N5, (5,))]
+    satisfied = 0
+    for case, params, periods in configs:
+        for n in periods:
+            found = False
+            for kind in conditions._branches(case, n):
+                deficient = conditions._deficient(kind, _exact_kind_series(params, kind, n - 1), n)
+                sol = solve_pell(params, n, _KIND_VARIANTS[kind])
+                assert (sol is not None) == deficient, (case, params, n, kind)
+                assert sol is None or verify_pell(sol)
+                found = found or deficient
+            assert cayley_test(params, case, n) == found
+            satisfied += found
+    assert satisfied == 4      # the exact vectors, and none of the seeded pairs
+    # EXACT_N6 fits no placement: its A block directly
+    assert conditions._deficient(SeriesKind.A, _exact_kind_series(EXACT_N6, SeriesKind.A, 5), 6)
+    assert solve_pell(EXACT_N6, 6, PellVariant.EVEN_A) is not None
+
+
+# (params, kinds) whose series the exact sets build: two-caustic, double and
+# light-like with an ellipsoid caustic
+_KIND_PARAMS = [
+    (EXACT_S1_N4, (SeriesKind.A, SeriesKind.B, SeriesKind.C, SeriesKind.D)),
+    (HyperellipticParams(*EXACT_DOUBLE[0], EXACT_DOUBLE[1], EXACT_DOUBLE[1]),
+     (SeriesKind.DOUBLE_A, SeriesKind.DOUBLE_B)),
+    (HyperellipticParams(*EXACT_LIGHT[0], EXACT_LIGHT[1], None),
+     (SeriesKind.LIGHT_A, SeriesKind.LIGHT_B)),
+]
+
+
+@pytest.mark.parametrize("params,kinds", _KIND_PARAMS)
+def test_required_order_is_tight(params, kinds):
+    # order n - 1 builds every branch's block and the p* of its variant;
+    # one coefficient fewer leaves the block short
+    for n in range(3, 17):
+        assert conditions._required_order(n) == n - 1
+        for kind in kinds:
+            if not conditions._is_branch(kind, n):
+                continue
+            series = _exact_kind_series(params, kind, n - 1)
+            block = conditions._block(kind, series, n)
+            assert block[-1][-1] == series[n - 1]
+            dp, _ = variant_degrees(_KIND_VARIANTS[kind], n)
+            assert dp <= series.order
+            with pytest.raises(InsufficientOrderError):
+                conditions._block(kind, _exact_kind_series(params, kind, n - 2), n)
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_light_odd_with_a_hyperboloid_caustic_builds_no_series(n, caplog, monkeypatch):
+    # gamma1 = 3 in (a2, a1): odd light-like periods have no condition, so
+    # solve_pell returns None before building a series, like the rank test
+    # and the singular solve
+    a = (F(4), F(2), F(1))
+    params = HyperellipticParams(*a, F(3), None)
+
+    def no_series(*args):
+        raise AssertionError("a series was built")
+
+    monkeypatch.setattr(conditions, "sqrt_series", no_series)
+    with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+        assert solve_pell(params, n, PellVariant.LIGHT_ODD) is None
+        assert lightlike_test(a, F(3), n) is False
+        assert solve_pell_singular(a, F(3), n, PellVariant.LIGHT_ODD) is None
+    assert not [r for r in caplog.records if r.name == "minkbilliards.series"]
 
 
 def test_solve_odd_c_exact_vector():
