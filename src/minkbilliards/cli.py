@@ -118,10 +118,8 @@ def _cmd_check_cayley(args) -> int:
         raise BilliardError("--params needs a1,a2,a3,gamma1[,gamma2]")
     if args.light and len(vals) == 5:
         raise BilliardError("--light puts gamma2 at infinity: give a1,a2,a3,gamma1 only")
-    g2 = vals[4] if len(vals) == 5 else None
-    params = HyperellipticParams(vals[0], vals[1], vals[2], vals[3], g2)
-    case = CausticCase(args.case)
-    ok = cayley_test(params, case, args.n)
+    params = HyperellipticParams(*vals[:4], vals[4] if len(vals) == 5 else None)
+    ok = cayley_test(params, CausticCase(args.case), args.n)
     print("SATISFIED" if ok else "NOT-SATISFIED")
     return 0 if ok else 1
 
@@ -139,14 +137,28 @@ def _load_search_spec(path: str):
 
     with open(path, encoding="utf8") as fh:
         d = json.load(fh)
+    if not isinstance(d, dict):
+        raise ValueError("a search spec is a JSON object")
+
+    def number(x, key: str, kind=float):
+        if isinstance(x, bool) or not isinstance(x, (int, kind)):
+            raise ValueError(f"spec key {key!r} needs {kind.__name__} values, got {d.get(key)!r}")
+        return x
+
+    def numbers(key: str, count: int):
+        value = d.get(key)
+        if not (isinstance(value, list) and len(value) == count):
+            raise ValueError(f"spec key {key!r} needs {count} numbers, got {value!r}")
+        return tuple(number(x, key) for x in value)
+
     return SearchSpec(
-        ellipsoid=tuple(d["ellipsoid"]),
-        case=CausticCase(d["case"]),
-        n=int(d["n"]),
-        g1_range=tuple(d["g1_range"]) if d.get("g1_range") else None,
-        g2_range=tuple(d["g2_range"]) if d.get("g2_range") else None,
-        grid=int(d.get("grid", 48)),
-        refine_tol=float(d.get("refine_tol", 1e-13)),
+        ellipsoid=numbers("ellipsoid", 3),
+        case=CausticCase(d.get("case")),
+        n=number(d.get("n"), "n", int),
+        g1_range=None if d.get("g1_range") is None else numbers("g1_range", 2),
+        g2_range=None if d.get("g2_range") is None else numbers("g2_range", 2),
+        grid=number(d.get("grid", 48), "grid", int),
+        refine_tol=float(number(d.get("refine_tol", 1e-13), "refine_tol")),
     )
 
 
@@ -175,17 +187,12 @@ def _cmd_cross_validate(args) -> int:
         print(json.dumps({"candidates": 0, "valid": False}))
         return 1
     ell = Ellipsoid(*spec.ellipsoid)
-    reports = []
-    ok = True
     linetype, _ = _CASE_INTERVALS[spec.case]
     epsilon = -1 if linetype is LineType.SPACELIKE else +1
-    for c in cands:
-        cp = CausticPair(c.gamma1, c.gamma2, linetype=linetype, epsilon=epsilon)
-        rep = cross_validate(ell, cp, spec.n)
-        reports.append(rep.to_json_dict())
-        ok = ok and rep.valid
-    print(json.dumps(reports, indent=2))
-    return 0 if ok else 1
+    reports = [cross_validate(ell, CausticPair(c.gamma1, c.gamma2, linetype, epsilon), spec.n)
+               for c in cands]
+    print(json.dumps([rep.to_json_dict() for rep in reports], indent=2))
+    return 0 if all(rep.valid for rep in reports) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,9 +19,11 @@ index, its first named coefficient: 4 for A, doubleA and lightA, 2 for B and
 doubleB, 3 for C, D and lightB.  The kind is a branch at n iff n = s (mod 2)
 and n >= s + 2.  Its Hankel block is r x (r-1) from coefficient s, with
 r = (n - s)/2 + 1, and the condition holds iff that block has rank < r - 1.
-A period n is admitted iff some branch of the case at n holds.  The block
-ends at coefficient n - 1; the Pell solve reads it too.  The search's branch
-and the Pell variants' degrees follow from the same start index.
+The block ends at coefficient n - 1; the Pell solve reads it too.  Every
+exact test asks ``_deficient_branch``, which checks in one order: n >= 3,
+the case's placement or degenerate gamma1 range, the one no-condition rule
+(odd light-like periods need an ellipsoid caustic), and then names the
+first branch of the case at n whose block is deficient.
 
 Every Hankel test runs twice at most: first on the series built modulo the
 prime p of ``series.MODULUS``, where a block of full rank proves full rank
@@ -256,16 +258,16 @@ def _kind_series(params: HyperellipticParams, kinds, n: int, number=Fraction):
         yield base if kind is base.kind else divided_series(base, kind, params)
 
 
-def _any_deficient(params: HyperellipticParams, kinds, n: int, number) -> bool:
-    """Whether the block of some kind in ``kinds`` at period n is deficient
-    over ``number``; the first deficient kind, in order, decides."""
+def _any_deficient(params: HyperellipticParams, kinds, n: int, number) -> SeriesKind | None:
+    """The first kind in ``kinds``, in order, whose block at period n is
+    deficient over ``number``, or None."""
     series = _kind_series(params, kinds, n, number)
-    return any(_deficient(kind, s, n) for kind, s in zip(kinds, series))
+    return next((kind for kind, s in zip(kinds, series) if _deficient(kind, s, n)), None)
 
 
 def _full_rank_mod_p(deficient) -> bool:
-    """Whether ``deficient(ModP)`` is False, which proves the exact verdict
-    False: the series mod p reduces the rational one, so full rank mod p is
+    """Whether ``deficient(ModP)`` is falsy, which proves the exact answer
+    falsy: the series mod p reduces the rational one, so full rank mod p is
     full rank over Q.  A deficient block mod p, or no reduction, proves nothing."""
     try:
         return not deficient(ModP)
@@ -273,14 +275,10 @@ def _full_rank_mod_p(deficient) -> bool:
         return False
 
 
-def _certified(deficient) -> bool:
-    """Exact verdict of a Hankel test ``deficient(number)``, mod p first."""
+def _certified(deficient):
+    """Exact answer of a Hankel test ``deficient(number)``, mod p first:
+    False where full rank mod p proves it, else ``deficient(Fraction)``."""
     return not _full_rank_mod_p(deficient) and deficient(Fraction)
-
-
-def _satisfied(params: HyperellipticParams, kinds: tuple[SeriesKind, ...], n: int) -> bool:
-    """Exact verdict that the block of some kind in ``kinds`` is deficient at n."""
-    return bool(kinds) and _certified(lambda number: _any_deficient(params, kinds, n, number))
 
 
 def condition_vector(a, kind: SeriesKind, n: int, g1, g2) -> list:
@@ -322,19 +320,46 @@ def _test_B(series: NormalizedSeries, m: int) -> bool:
     return _deficient(SeriesKind.B, series, 2 * m)
 
 
+def _check_gamma1_range(a, gamma1: Fraction, case: CausticCase) -> None:
+    """Raise ``GammaOutOfRangeError`` unless a2 < gamma1 < a1 (double), or
+    gamma1 is in (-a3, a1) and neither a2 nor 0 (light-like)."""
+    a1, a2, a3 = a
+    if case is CausticCase.DOUBLE and not (a2 < gamma1 < a1):
+        raise GammaOutOfRangeError(f"double caustic needs gamma1 in ({a2}, {a1})")
+    if case is CausticCase.LIGHT and not (-a3 < gamma1 < a1 and gamma1 not in (a2, 0)):
+        raise GammaOutOfRangeError(f"gamma1={gamma1} is not a light-like caustic parameter")
+
+
 def _check_case_consistency(params: HyperellipticParams, case: CausticCase) -> None:
-    if case is CausticCase.LIGHT:
-        if not params.is_lightlike:
-            raise CaseMismatchError("light case needs the at-infinity sentinel")
-        return
-    if case is CausticCase.DOUBLE:
-        if not params.is_double:
-            raise CaseMismatchError("double case needs gamma2 == gamma1")
-        return
-    if params.gamma2 is None or params.is_double:
+    if case is CausticCase.LIGHT and not params.is_lightlike:
+        raise CaseMismatchError("light case needs the at-infinity sentinel")
+    if case is CausticCase.DOUBLE and not params.is_double:
+        raise CaseMismatchError("double case needs gamma2 == gamma1")
+    if case in (CausticCase.LIGHT, CausticCase.DOUBLE):
+        _check_gamma1_range((params.a1, params.a2, params.a3), params.gamma1, case)
+    elif params.gamma2 is None or params.is_double:
         raise CaseMismatchError(f"case {case} needs two distinct finite caustics")
-    if not _placed(case, params.a1, params.a2, params.a3, params.gamma1, params.gamma2):
+    elif not _placed(case, params.a1, params.a2, params.a3, params.gamma1, params.gamma2):
         raise CaseMismatchError(f"parameters do not satisfy the {case.value} placement")
+
+
+def _without_condition(params: HyperellipticParams, n: int) -> bool:
+    """The no-condition rule: an odd light-like period needs an ellipsoid
+    caustic (gamma1 < a2)."""
+    return params.is_lightlike and n % 2 == 1 and params.gamma1 > params.a2
+
+
+def _deficient_branch(params: HyperellipticParams, case: CausticCase,
+                      n: int) -> SeriesKind | None:
+    """The first branch of the case at n whose block is deficient, or None,
+    after the checks in the module docstring's order; mod p first."""
+    if n < 3:
+        raise ValueError("period must be at least 3")
+    _check_case_consistency(params, case)
+    if _without_condition(params, n):
+        return None
+    kinds = _branches(case, n)
+    return _certified(lambda number: _any_deficient(params, kinds, n, number)) or None
 
 
 def cayley_test(params: HyperellipticParams, case: CausticCase, n: int) -> bool:
@@ -342,35 +367,16 @@ def cayley_test(params: HyperellipticParams, case: CausticCase, n: int) -> bool:
 
     True iff the Hankel block of some branch of the case at n is deficient
     (see the module docstring); a case with no branch at n, by parity or
-    below every period threshold, is False.  Double and light-like cases
-    delegate to their dedicated tests.  The blocks are ranked mod p first;
-    see ``_certified``.
+    below every period threshold, is False.
     """
-    if n < 3:
-        raise ValueError("period must be at least 3")
-    _check_case_consistency(params, case)
-    if case is CausticCase.DOUBLE:
-        return double_caustic_test((params.a1, params.a2, params.a3), params.gamma1, n)
-    if case is CausticCase.LIGHT:
-        return lightlike_test((params.a1, params.a2, params.a3), params.gamma1, n)
-    return _satisfied(params, _branches(case, n), n)
+    return _deficient_branch(params, case, n) is not None
 
 
 def _degenerate_params(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction,
-                       case: CausticCase, n: int) -> HyperellipticParams | None:
-    """Curve data of the double or light-like case, or None where it has no
-    condition at n: odd light-like periods need an ellipsoid caustic.
-    Raises ``GammaOutOfRangeError`` unless a2 < gamma1 < a1 (double), or
-    gamma1 is in (-a3, a1) and neither a2 nor 0 (light-like)."""
-    a1, a2, a3 = a
-    if case is CausticCase.DOUBLE:
-        if not (a2 < gamma1 < a1):
-            raise GammaOutOfRangeError(f"double caustic needs gamma1 in ({a2}, {a1})")
-        return HyperellipticParams(a1, a2, a3, gamma1, gamma1)
-    if not (-a3 < gamma1 < a1) or gamma1 in (a2, 0):
-        raise GammaOutOfRangeError(f"gamma1={gamma1} is not a light-like caustic parameter")
-    params = HyperellipticParams(a1, a2, a3, gamma1, None)
-    return None if n % 2 and gamma1 > a2 else params
+                       case: CausticCase) -> HyperellipticParams:
+    """Range-checked curve data of the double or light-like case."""
+    _check_gamma1_range(a, gamma1, case)
+    return HyperellipticParams(*a, gamma1, gamma1 if case is CausticCase.DOUBLE else None)
 
 
 def double_caustic_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction, n: int) -> bool:
@@ -380,8 +386,7 @@ def double_caustic_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction
     (gamma1-x) sqrt((a1-x)(a2-x)(a3+x)) and the doubleB block (n >= 4) on
     sqrt((a1-x)(a2-x)(a3+x)) / (gamma1-x), both normalized.
     """
-    params = _degenerate_params(a, gamma1, CausticCase.DOUBLE, n)
-    return _satisfied(params, _branches(CausticCase.DOUBLE, n), n)
+    return cayley_test(_degenerate_params(a, gamma1, CausticCase.DOUBLE), CausticCase.DOUBLE, n)
 
 
 def lightlike_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction, n: int) -> bool:
@@ -391,8 +396,7 @@ def lightlike_test(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction, n: 
     Odd n >= 5 with an ellipsoid caustic only: the lightB block (rows from
     B3) on sqrt((a1-x)(a2-x)(a3+x)/(gamma1-x)).
     """
-    params = _degenerate_params(a, gamma1, CausticCase.LIGHT, n)
-    return params is not None and _satisfied(params, _branches(CausticCase.LIGHT, n), n)
+    return cayley_test(_degenerate_params(a, gamma1, CausticCase.LIGHT), CausticCase.LIGHT, n)
 
 
 # -- winding-number integrals -------------------------------------------------

@@ -19,10 +19,11 @@ so p, q and R are exactly rational; p* monic makes p(0) = 1, so R = U(0).
 
 The q-part of the vanishing system, orders deg p + 1 .. n - 1, is the Hankel
 block ``conditions._block`` of the variant's kind with its columns reversed,
-on the series built to ``conditions._required_order(n)`` = n - 1.  Its gate
-mod p is the rank test's: full rank mod p is full rank over Q, so None comes
-without the rational series; a deficient block mod p (or a parameter that is
-not a p-unit) goes on to the exact nullspace.
+on the series built to ``conditions._required_order(n)`` = n - 1.  A solve
+checks the parameters (a degenerate range as the rank test does) and the
+period, then applies the rank test's no-condition rule and gate mod p: full
+rank mod p is full rank over Q, so None comes without the rational series; a
+deficient block mod p (or a non-p-unit parameter) goes on to the nullspace.
 """
 
 from __future__ import annotations
@@ -46,11 +47,13 @@ from .conditions import (
     HyperellipticParams,
     _any_deficient,
     _block,
+    _check_case_consistency,
     _degenerate_params,
     _full_rank_mod_p,
     _is_branch,
     _kind_series,
     _start,
+    _without_condition,
 )
 from .series import SeriesKind, nullspace, poly_mul_frac
 
@@ -158,6 +161,10 @@ _VARIANT_KINDS: dict[PellVariant, SeriesKind] = {
     PellVariant.LIGHT_ODD: SeriesKind.LIGHT_B,
 }
 
+# the case of each double or light-like kind, whose gamma1 range a solve checks
+_DEGENERATE_CASES = {kind: case for case in (CausticCase.DOUBLE, CausticCase.LIGHT)
+                     for kind in _CASE_KINDS[case]}
+
 
 def variant_degrees(variant: PellVariant, n: int) -> tuple[int, int]:
     """(deg p, deg q) = ((n+s)/2 - 2, (n-s)/2 - 1) for the variant at period
@@ -251,22 +258,15 @@ def _check_shape(variant: PellVariant, params: HyperellipticParams) -> None:
 
 def _validate_params_for_variant(variant: PellVariant, params: HyperellipticParams,
                                  n: int) -> None:
+    """Raise unless the parameters fit the variant, at any period n."""
     _check_shape(variant, params)
     if variant is PellVariant.ODD_C and params.gamma1 <= 0:
         raise GammaOutOfRangeError("the odd gamma1-variant requires gamma1 > 0")
     if variant is PellVariant.ODD_D and params.gamma2 >= 0:
         raise GammaOutOfRangeError("the odd gamma2-variant requires gamma2 < 0")
-    _has_condition(params, n)     # for the degenerate range check
-
-
-def _has_condition(params: HyperellipticParams, n: int) -> bool:
-    """False where ``conditions._degenerate_params`` finds the double or
-    light-like parameters no condition at n; raises its range error."""
-    if not (params.is_double or params.is_lightlike):
-        return True
-    case = CausticCase.DOUBLE if params.is_double else CausticCase.LIGHT
-    a = (params.a1, params.a2, params.a3)
-    return _degenerate_params(a, params.gamma1, case, n) is not None
+    case = _DEGENERATE_CASES.get(_VARIANT_KINDS[variant])
+    if case is not None:
+        _check_case_consistency(params, case)
 
 
 def solve_pell(params: HyperellipticParams, n: int,
@@ -282,7 +282,7 @@ def solve_pell(params: HyperellipticParams, n: int,
     _validate_params_for_variant(variant, params, n)
     dp, dq = variant_degrees(variant, n)
     kind = _VARIANT_KINDS[variant]
-    if not _has_condition(params, n) or _full_rank_mod_p(
+    if _without_condition(params, n) or _full_rank_mod_p(
             lambda number: _any_deficient(params, (kind,), n, number)):
         return None
     (s,) = _kind_series(params, (kind,), n)
@@ -348,17 +348,11 @@ def compose_pell(sol: PellSolution) -> PellSolution:
 
 def solve_pell_singular(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction, n: int,
                         which: PellVariant) -> PellSolution | None:
-    """Degenerate-weight solve for the double-caustic and light-like variants.
-
-    Absent (None) when the parity does not match the variant, and for the
-    odd light-like variant when the caustic is not an ellipsoid.
-    """
+    """Degenerate-weight solve for the double-caustic and light-like variants:
+    None where the parity does not match the variant, else ``solve_pell``."""
     kind = _VARIANT_KINDS[which]
-    case = next((c for c in (CausticCase.DOUBLE, CausticCase.LIGHT) if kind in _CASE_KINDS[c]),
-                None)
+    case = _DEGENERATE_CASES.get(kind)
     if case is None:
         raise ValueError(f"not a singular variant: {which}")
-    params = _degenerate_params(a, gamma1, case, n)
-    if params is None or n % 2 != _start(kind) % 2:
-        return None
-    return solve_pell(params, n, which)
+    params = _degenerate_params(a, gamma1, case)
+    return None if n % 2 != _start(kind) % 2 else solve_pell(params, n, which)

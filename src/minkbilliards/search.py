@@ -38,6 +38,7 @@ import numpy as np
 from .conditions import (
     _CASE_KINDS,
     _branches,
+    _deficient_branch,
     _start,
     HyperellipticParams,
     cayley_test,
@@ -62,7 +63,6 @@ from .errors import (
     EmptyRangeError,
     InvalidToleranceError,
     NoConvergenceError,
-    ThresholdViolationError,
 )
 from .minkowski import Vec3, mink_dot
 from .pell import _VARIANT_KINDS, PellSolution, PellVariant, solve_pell, verify_pell
@@ -533,15 +533,16 @@ class ValidationReport:
     n: int
     gamma1: float
     gamma2: float | None
-    cayley_pass: bool
-    condition_residual: float
-    pell_certificate: PellSolution | None
-    closure_error: float
-    signature: PeriodSignature | None
-    signatures_agree: bool
-    parity_pass: bool
-    darboux_residuals: tuple[float, float]
-    chasles_residual: float
+    # what nothing measured reads; cross_validate fills in what it measures
+    cayley_pass: bool = False
+    condition_residual: float = math.inf
+    pell_certificate: PellSolution | None = None
+    closure_error: float = math.inf
+    signature: PeriodSignature | None = None
+    signatures_agree: bool = False
+    parity_pass: bool = False
+    darboux_residuals: tuple[float, float] = (math.inf, math.inf)
+    chasles_residual: float = math.inf
     failures: list[tuple[str, str]] = field(default_factory=list)
 
     def fail(self, stage: str, error) -> None:
@@ -551,10 +552,7 @@ class ValidationReport:
     @property
     def failure_stage(self) -> str | None:
         """The last failure as "stage: error", or None when nothing failed."""
-        if not self.failures:
-            return None
-        stage, error = self.failures[-1]
-        return f"{stage}: {error}"
+        return ": ".join(self.failures[-1]) if self.failures else None
 
     def gates(self) -> list[tuple[str, object, object, bool]]:
         """(name, value, bound, passed) of the six checks ``valid`` reads."""
@@ -615,9 +613,12 @@ def closure_error_at(traj: Trajectory, n: int) -> float:
 
 def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
                    starts: int = 3) -> ValidationReport:
-    """Full pipeline: exact tests, Pell certificate, multi-start tracing,
+    """Full pipeline: exact verdict, Pell certificate, multi-start tracing,
     period detection, parity, Chasles and the winding-number residuals.
 
+    The exact verdict names the deficient branch of the case at n, if any;
+    only then is Pell solved, once, for that branch's variant, so the
+    certificate is the nullspace of the deficient branch's Hankel block.
     Every start that closes must give the same (n, m1, n1); the report's
     signature is the first such start's, and its lam3 oscillation count n2
     is counted on that start alone, once per report.  Each gate of
@@ -625,19 +626,15 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
     case = classify_case(cp, ell)
     g2 = cp.gamma1 if cp.is_double else cp.gamma2    # snap the double caustic
     params = HyperellipticParams.from_floats(ell.a1, ell.a2, ell.a3, cp.gamma1, g2)
-    report = ValidationReport(
-        ellipsoid=(ell.a1, ell.a2, ell.a3), case=case, n=n,
-        gamma1=cp.gamma1, gamma2=g2, cayley_pass=False,
-        condition_residual=math.inf, pell_certificate=None,
-        closure_error=math.inf, signature=None, signatures_agree=False,
-        parity_pass=False, darboux_residuals=(math.inf, math.inf),
-        chasles_residual=math.inf)
+    report = ValidationReport((ell.a1, ell.a2, ell.a3), case, n, cp.gamma1, g2)
 
     # exact side
+    branch = None
     try:
-        report.cayley_pass = cayley_test(params, case, n)
+        branch = _deficient_branch(params, case, n)
     except (BilliardError, ValueError) as exc:
         report.fail("cayley", exc)
+    report.cayley_pass = branch is not None
     try:
         kind = _requested_kind(case, n)
         if kind is None:
@@ -647,17 +644,14 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
             report.condition_residual = abs(f1) + abs(f2)
     except (BilliardError, ValueError, ZeroDivisionError) as exc:
         report.fail("condition", exc)
-    for variant in pell_variants_for(case, n):
+    if branch is not None:
+        variant = _KIND_VARIANTS[branch]
         try:
             sol = solve_pell(params, n, variant)
-        except ThresholdViolationError:
-            continue    # the variant does not apply at this n (evenA at n=4)
+            if sol is not None and verify_pell(sol):
+                report.pell_certificate = sol
         except (BilliardError, ValueError) as exc:
             report.fail("pell", f"{variant.value}: {exc}")
-            continue
-        if sol is not None and verify_pell(sol):
-            report.pell_certificate = sol
-            break
 
     # numeric side: several distinct starting tangent lines, same caustics;
     # below n = 3 the condition failure is the reason, and nothing is traced

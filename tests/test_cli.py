@@ -186,6 +186,27 @@ def test_search_cli_refuses_a_degenerate_spec(tmp_path, capsys, command, field):
     assert "precondition violated" in err and next(iter(field)) in err
 
 
+@pytest.mark.parametrize("command", ["find-periodic", "cross-validate"])
+@pytest.mark.parametrize("doc", [
+    {"ellipsoid": [4.0, 2.0], "case": "S1", "n": 4},
+    {"ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 4, "g1_range": [1]},
+    {"ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 4, "g1_range": [0.5, 1.0, 1.5]},
+    {"ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 4, "g2_range": ["-1", "0"]},
+    {"ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 4, "grid": [8]},
+    {"ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 4.5},
+    {"ellipsoid": [4.0, 2.0, 1.0], "case": "S1"},
+    [{"ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 4}],
+])
+def test_search_cli_refuses_a_malformed_spec(tmp_path, capsys, command, doc):
+    # a spec of the wrong shape is a usage error, never a traceback and never
+    # a search that quietly drops what it cannot read
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, "--spec", str(spec))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
 def test_cross_validate_cli(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

@@ -172,6 +172,36 @@ def test_lightlike_test():
         lightlike_test((F(4), F(2), F(1)), F(5), 5)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_degenerate_tests_reject_periods_below_three(n):
+    # the double and light-like tests ask cayley_test, so a period below 3
+    # raises ValueError as it does there, and is no plain False
+    for test, (a, g), case in ((double_caustic_test, EXACT_DOUBLE, CausticCase.DOUBLE),
+                               (lightlike_test, EXACT_LIGHT, CausticCase.LIGHT)):
+        with pytest.raises(ValueError):
+            test(a, g, n)
+        with pytest.raises(ValueError):
+            cayley_test(conditions._degenerate_params(a, g, case), case, n)
+
+
+def test_deficient_branch_checks_in_one_order():
+    # n < 3 first, then the case's shape or range, then the no-condition
+    # rule, then the first deficient branch of the case at n
+    light = HyperellipticParams(F(4), F(2), F(1), F(5), None)     # gamma1 > a1
+    with pytest.raises(ValueError, match="at least 3"):
+        conditions._deficient_branch(light, CausticCase.S1, 2)
+    with pytest.raises(CaseMismatchError):
+        conditions._deficient_branch(light, CausticCase.DOUBLE, 6)
+    with pytest.raises(GammaOutOfRangeError):
+        conditions._deficient_branch(light, CausticCase.LIGHT, 5)
+    hyperboloid = HyperellipticParams(F(4), F(2), F(1), F(3), None)
+    assert conditions._deficient_branch(hyperboloid, CausticCase.LIGHT, 5) is None
+    assert conditions._deficient_branch(EXACT_S1_N4, CausticCase.S1, 4) is SeriesKind.B
+    assert conditions._deficient_branch(EXACT_S1_N4, CausticCase.S1, 8) is SeriesKind.A
+    double = conditions._degenerate_params(*EXACT_DOUBLE, CausticCase.DOUBLE)
+    assert conditions._deficient_branch(double, CausticCase.DOUBLE, 4) is SeriesKind.DOUBLE_B
+
+
 def test_condition_vector_float_matches_exact():
     # the float evaluator used by the search agrees with the exact one
     from minkbilliards.search import condition_vector_floats

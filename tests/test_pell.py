@@ -265,6 +265,19 @@ def test_singular_light():
     assert solve_pell_singular(a, g, 5, PellVariant.LIGHT_EVEN) is None
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_singular_light_odd_threshold_before_no_condition(n):
+    # below its threshold lightOdd raises for a hyperboloid caustic as for an
+    # ellipsoid one, in solve_pell_singular as in solve_pell: the period is
+    # checked before the no-condition rule
+    a = (F(4), F(2), F(1))
+    for g in (F(3), F(1, 2)):
+        with pytest.raises(ThresholdViolationError):
+            solve_pell_singular(a, g, n, PellVariant.LIGHT_ODD)
+        with pytest.raises(ThresholdViolationError):
+            solve_pell(HyperellipticParams(*a, g, None), n, PellVariant.LIGHT_ODD)
+
+
 @pytest.mark.parametrize("g", [F(5), F(-3, 2)])
 def test_solve_pell_checks_the_lightlike_range(g):
     # gamma1 beyond a1 or below -a3 is no light-like caustic parameter, for

@@ -769,6 +769,34 @@ def test_find_periodic_debug_record(caplog):
     assert stats["candidates"] == len(cands) == 1
 
 
+def _solve_pell_calls(monkeypatch) -> list:
+    calls = []
+    real = search.solve_pell
+
+    def counted(params, n, variant):
+        calls.append(variant.value)
+        return real(params, n, variant)
+
+    monkeypatch.setattr(search, "solve_pell", counted)
+    return calls
+
+
+def test_cross_validate_solves_pell_only_for_the_deficient_branch(monkeypatch):
+    calls = _solve_pell_calls(monkeypatch)
+    # the searched S1 root is irrational: NOT SATISFIED at its
+    # rationalization, so no Pell solve is tried
+    [c] = find_periodic(SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, 4, grid=32))
+    rep = cross_validate(Ellipsoid(4.0, 2.0, 1.0),
+                         CausticPair(c.gamma1, c.gamma2, LineType.SPACELIKE, -1), 4)
+    assert rep.cayley_pass is False and rep.pell_certificate is None
+    assert calls == []
+    # the exact S1 pair at n = 4: its B block is deficient, solved once as evenB
+    rep = cross_validate(Ellipsoid(1.0, 6.0 / 7.0, 6.0),
+                         CausticPair(0.75, -3.0, LineType.SPACELIKE, -1), 4)
+    assert rep.cayley_pass is True and rep.pell_certificate.variant.value == "evenB"
+    assert calls == ["evenB"]
+
+
 def test_cross_validate_records_failed_pell_variants(monkeypatch):
     # a variant that does not apply at this n is skipped; any other failure
     # of the Pell stage is recorded with its variant
