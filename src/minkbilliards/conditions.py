@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .confocal import _CASE_INTERVALS, CausticCase, IntervalPartition, _placed
+from .confocal import _CASE_INTERVALS, _DEGENERATE_RANGES, CausticCase, IntervalPartition, _placed
 from .errors import (
     CaseMismatchError,
     GammaOutOfRangeError,
@@ -282,21 +282,16 @@ def _certified(deficient):
 
 
 def condition_vector(a, kind: SeriesKind, n: int, g1, g2) -> list:
-    """The named small-n coefficient vector whose joint vanishing is the test.
-
-    At n = s + 2 the kind's block is 2 x 1, so its condition is the joint
-    vanishing of coefficients s and s + 1: n=4 (B or doubleB): (B2, B3); n=5
-    (C, D or lightB): (C3, C4); n=6 (A, doubleA or lightA): (A4, A5).  ``a``
-    is the ellipsoid triple and ``g2`` is None for the double and light-like
-    kinds.  This is the one evaluator of the conditions for every number
-    type: Fractions give the exact coefficients, floats the residuals that
-    Newton refinement and cross-validation use, and numpy arrays of caustic
-    parameters the values over a whole search grid in one call.
-
-    The series is built through order ``first + 1``, the second coefficient
-    returned, not through ``_required_order(n)`` = n - 1: a coefficient of
-    ``series_sqrt`` or ``series_div`` depends only on lower-order ones, so
-    the two values are the same, bit for bit, as those of the longer series.
+    """The coefficients s and s + 1 of the kind's series, whose joint
+    vanishing is its condition at n = s + 2, where its block is 2 x 1: (B2,
+    B3) at n = 4, (C3, C4) at n = 5, (A4, A5) at n = 6.  ``a`` is the
+    ellipsoid triple and ``g2`` is None for the double and light-like kinds.
+    This is the one evaluator of the conditions for every number type:
+    Fractions give the exact coefficients, floats the residuals that Newton
+    refinement and cross-validation use, and numpy arrays of caustic
+    parameters the values over a whole search grid in one call.  The series
+    is built through order s + 1, which at n = s + 2 is ``_required_order(n)``
+    = n - 1 too, so the pair is the block's own entries.
     """
     caustics, divisors, first = _KINDS[kind]
     order = first + 1
@@ -321,13 +316,10 @@ def _test_B(series: NormalizedSeries, m: int) -> bool:
 
 
 def _check_gamma1_range(a, gamma1: Fraction, case: CausticCase) -> None:
-    """Raise ``GammaOutOfRangeError`` unless a2 < gamma1 < a1 (double), or
-    gamma1 is in (-a3, a1) and neither a2 nor 0 (light-like)."""
-    a1, a2, a3 = a
-    if case is CausticCase.DOUBLE and not (a2 < gamma1 < a1):
-        raise GammaOutOfRangeError(f"double caustic needs gamma1 in ({a2}, {a1})")
-    if case is CausticCase.LIGHT and not (-a3 < gamma1 < a1 and gamma1 not in (a2, 0)):
-        raise GammaOutOfRangeError(f"gamma1={gamma1} is not a light-like caustic parameter")
+    """Raise ``GammaOutOfRangeError`` unless gamma1 is in the degenerate
+    case's range of ``confocal._DEGENERATE_RANGES``."""
+    if not _DEGENERATE_RANGES[case](*a, gamma1):
+        raise GammaOutOfRangeError(f"gamma1={gamma1} is not in the {case.value} caustic range")
 
 
 def _check_case_consistency(params: HyperellipticParams, case: CausticCase) -> None:

@@ -453,6 +453,15 @@ _CASE_INTERVALS = {
 }
 
 
+# Whether gamma1 is in the range of each degenerate case: (a2, a1) for the
+# double caustic; (0, a1) without a2 for a light-like line, which never
+# touches Q_0 (the table itself), so gamma1 > 0 as through the centre.
+_DEGENERATE_RANGES = {
+    CausticCase.DOUBLE: lambda a1, a2, a3, g: a2 < g < a1,
+    CausticCase.LIGHT: lambda a1, a2, a3, g: 0 < g < a1 and g != a2,
+}
+
+
 def _placed(case: CausticCase, a1, a2, a3, g1, g2) -> bool:
     """Whether (g1, g2) lies in the open intervals of the two-caustic case,
     a time-like pair also with g1 < g2; over floats and Fractions alike."""
@@ -471,12 +480,12 @@ def classify_case(cp: CausticPair, ell: Ellipsoid) -> CausticCase:
     """
     a1, a2, a3 = ell.a1, ell.a2, ell.a3
     if cp.is_lightlike:
-        if 0.0 < cp.gamma1 < a1 and cp.gamma1 != a2:
+        if _DEGENERATE_RANGES[CausticCase.LIGHT](a1, a2, a3, cp.gamma1):
             return CausticCase.LIGHT
         raise InconsistentConfigurationError(f"light-like gamma1={cp.gamma1} out of range")
     g1, g2 = cp.gamma1, cp.gamma2
     if cp.is_double:
-        if a2 < g1 < a1 and a2 < g2 < a1:
+        if all(_DEGENERATE_RANGES[CausticCase.DOUBLE](a1, a2, a3, g) for g in (g1, g2)):
             return CausticCase.DOUBLE
         raise InconsistentConfigurationError(
             f"double caustic {g1} must lie in ({a2}, {a1})")

@@ -234,6 +234,8 @@ class PellSolution:
         def fr(s: str | None) -> Fraction | None:
             return None if s is None else Fraction(s)
 
+        if type(d["n"]) is not int or not all(type(d[k]) is list for k in ("p_coeffs", "q_coeffs")):
+            raise ValueError("a certificate needs an integer 'n' and lists 'p_coeffs', 'q_coeffs'")
         params = HyperellipticParams(
             fr(d["params"]["a1"]), fr(d["params"]["a2"]), fr(d["params"]["a3"]),
             fr(d["params"]["gamma1"]), fr(d["params"]["gamma2"]))
@@ -242,8 +244,7 @@ class PellSolution:
         variant = PellVariant(d["variant"])
         _check_shape(variant, params)
         rhs = _pell_constant(*weight_polys(variant, params), p, q)
-        return PellSolution(p, q, variant, int(d["n"]), params,
-                            Fraction(0) if rhs is None else rhs)
+        return PellSolution(p, q, variant, d["n"], params, Fraction(0) if rhs is None else rhs)
 
 
 def _check_shape(variant: PellVariant, params: HyperellipticParams) -> None:

@@ -1,9 +1,9 @@
 """Parameter search for periodic configurations and the cross-validation
 pipeline tying the numeric simulator to the exact conditions engine.
 
-Periodicity at fixed period n pins both caustic parameters: the rank
-conditions amount to two scalar equations (two named series coefficients for
-n = 4, 5, 6), so the search is a grid scan plus damped 2-D Newton on the
+Periodicity at fixed period n pins both caustic parameters: on a branch
+whose block is 2 x 1 (n = s + 2) the rank condition is two named series
+coefficients, so the search is a grid scan plus damped 2-D Newton on the
 condition vector.  Roots are generically irrational; candidates carry the
 float root, its bounded-denominator rationalization, the exact rank-test
 verdict at the rationalized point (almost always false, since the exact
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product
 
 import numpy as np
@@ -98,26 +98,23 @@ def _scan_rect(intervals):
 _CASE_RECTS = {case: _scan_rect(intervals) for case, (_, intervals) in _CASE_INTERVALS.items()}
 
 
-def _search_kind(case: CausticCase, n: int) -> SeriesKind | None:
-    """Condition branch searched for (case, n): the first branch of the case
-    at n, or None when the case has none there (the search is then empty).
-    The search covers n = 4, 5 and 6.  Outside that range an odd n without
-    a branch also gives None: no odd period is below 5, and a case without
-    odd kinds has no odd period (the parity exclusion).  Every other period
-    raises EmptyRangeError."""
-    kind = next(iter(_branches(case, n)), None)
-    if 4 <= n <= 6 or (n % 2 and kind is None):
-        return kind
-    raise EmptyRangeError(f"period n={n} is not supported by the condition search (use 4, 5 or 6)")
-
-
-def _requested_kind(case: CausticCase, n: int) -> SeriesKind | None:
-    """``_search_kind`` for a period that a search or report asks for.  No
-    periodicity condition starts below n = 3, so such a period raises
-    EmptyRangeError instead of answering that the case has no branch."""
+def _float_branches(case: CausticCase, n: int) -> tuple[SeriesKind, ...]:
+    """The case's branches at n whose block is 2 x 1 (n = s + 2), in table
+    order: their condition is the pair ``condition_vector`` returns.  Empty
+    without a branch at n; EmptyRangeError below n = 3, or where every
+    branch has a larger block."""
     if n < 3:
         raise EmptyRangeError(f"period n={n} is below 3, where no periodicity condition applies")
-    return _search_kind(case, n)
+    branches = _branches(case, n)
+    kinds = tuple(kind for kind in branches if n == _start(kind) + 2)
+    if branches and not kinds:
+        raise EmptyRangeError(f"period n={n} is not supported by the condition search (use 4, 5 or 6)")
+    return kinds
+
+
+def _search_kind(case: CausticCase, n: int) -> SeriesKind | None:
+    """The branch searched at (case, n): the first of ``_float_branches``."""
+    return next(iter(_float_branches(case, n)), None)
 
 
 @dataclass(frozen=True)
@@ -272,7 +269,7 @@ def find_periodic(spec: SearchSpec) -> list[PeriodicCandidate]:
             "periodicity conditions are two equations in the one unknown gamma1, so "
             "roots are non-generic; scan gamma1 with search.scan_singular_condition "
             "and check the second coefficient at each root")
-    kind = _requested_kind(case, n)
+    kind = _search_kind(case, n)
     if kind is None:
         return []    # no branch at n: odd n without odd periods, or n = 4 without B
     (g1lo, g1hi), (g2lo, g2hi) = _CASE_RECTS[case](ell)
@@ -365,7 +362,7 @@ def scan_singular_condition(a: tuple[float, float, float], case: CausticCase, n:
     """
     if case not in (CausticCase.DOUBLE, CausticCase.LIGHT):
         raise EmptyRangeError("the 1-D scan applies to the double and light-like cases")
-    kind = _requested_kind(case, n)
+    kind = _search_kind(case, n)
     if kind is None:
         return []
     lo, hi = g_range
@@ -583,9 +580,7 @@ class ValidationReport:
             "pell_certificate": (None if self.pell_certificate is None
                                  else self.pell_certificate.to_json_dict()),
             "closure_error": self.closure_error,
-            "signature": (None if self.signature is None else {
-                "n": self.signature.n, "m1": self.signature.m1,
-                "n1": self.signature.n1, "n2": self.signature.n2}),
+            "signature": None if self.signature is None else asdict(self.signature),
             "signatures_agree": self.signatures_agree,
             "parity_pass": self.parity_pass,
             "darboux_residuals": list(self.darboux_residuals),
@@ -619,6 +614,8 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
     The exact verdict names the deficient branch of the case at n, if any;
     only then is Pell solved, once, for that branch's variant, so the
     certificate is the nullspace of the deficient branch's Hankel block.
+    The condition residual is the smallest |f1| + |f2| over the case's
+    branches at n with a 2 x 1 block (``_float_branches``).
     Every start that closes must give the same (n, m1, n1); the report's
     signature is the first such start's, and its lam3 oscillation count n2
     is counted on that start alone, once per report.  Each gate of
@@ -636,12 +633,12 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
         report.fail("cayley", exc)
     report.cayley_pass = branch is not None
     try:
-        kind = _requested_kind(case, n)
-        if kind is None:
+        kinds = _float_branches(case, n)
+        if not kinds:
             report.fail("condition", f"case {case.value} has no condition branch at n={n}")
         else:
-            f1, f2 = condition_vector((ell.a1, ell.a2, ell.a3), kind, n, cp.gamma1, g2)
-            report.condition_residual = abs(f1) + abs(f2)
+            vectors = (condition_vector(report.ellipsoid, kind, n, cp.gamma1, g2) for kind in kinds)
+            report.condition_residual = min(abs(f1) + abs(f2) for f1, f2 in vectors)
     except (BilliardError, ValueError, ZeroDivisionError) as exc:
         report.fail("condition", exc)
     if branch is not None:

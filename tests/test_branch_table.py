@@ -36,6 +36,7 @@ from minkbilliards import (
 from minkbilliards import conditions, pell, search
 from minkbilliards.confocal import _placed
 from minkbilliards.errors import (
+    EmptyRangeError,
     GammaOutOfRangeError,
     InconsistentConfigurationError,
     SingularCurveError,
@@ -60,7 +61,12 @@ def _outcome(f, *args):
 @pytest.mark.parametrize("case", list(CausticCase))
 def test_search_kind_and_pell_variants_match_frozen(case):
     for n in PERIODS:
-        assert _outcome(search._search_kind, case, n) == _outcome(frozen.search_kind, case, n)
+        if n < 3:
+            # no periodicity condition starts below n = 3
+            with pytest.raises(EmptyRangeError, match=f"n={n} is below 3"):
+                search._search_kind(case, n)
+        else:
+            assert _outcome(search._search_kind, case, n) == _outcome(frozen.search_kind, case, n)
         assert search.pell_variants_for(case, n) == frozen.pell_variants_for(case, n)
 
 
@@ -202,16 +208,16 @@ def _pell_inputs():
 
 def _lightlike_out_of_range(params: HyperellipticParams) -> bool:
     g = params.gamma1
-    return params.is_lightlike and (not -params.a3 < g < params.a1 or g in (params.a2, 0))
+    return params.is_lightlike and (not 0 < g < params.a1 or g == params.a2)
 
 
 @pytest.mark.parametrize("variant", list(PellVariant))
 def test_pell_weights_signs_and_checks_match_frozen(variant):
     shapes = set()
     for params in _pell_inputs():
-        # the frozen check let a light-like gamma1 outside (-a3, a1), or at
-        # a2 or 0, through to the solve; it is now out of range as in
-        # cayley_test and solve_pell_singular
+        # the frozen check let a light-like gamma1 outside (0, a1), or at
+        # a2, through to the solve; it is now out of range as in cayley_test
+        # and solve_pell_singular
         want = _outcome(frozen.validate_params_for_variant, variant, params)
         if want is None and _lightlike_out_of_range(params):
             want = GammaOutOfRangeError
@@ -269,17 +275,23 @@ def _degenerate_gammas(a) -> list[F]:
 
 @pytest.mark.parametrize("a", [(F(4), F(2), F(1)), EXACT_DOUBLE[0], EXACT_LIGHT[0]])
 def test_degenerate_range_checks_match_frozen(a):
+    light = (PellVariant.LIGHT_EVEN, PellVariant.LIGHT_ODD)
     for g in _degenerate_gammas(a):
+        # the frozen light-like checks took (-a3, 0) in; the light-like range
+        # is now (0, a1), as classify_case has it
+        light_out = -a[2] < g < 0
         for n in (4, 5, 6, 7):
             assert (_outcome(conditions.double_caustic_test, a, g, n)
                     == _outcome(frozen.double_caustic_test, a, g, n))
-            for variant in (PellVariant.DOUBLE_A, PellVariant.DOUBLE_B,
-                            PellVariant.LIGHT_EVEN, PellVariant.LIGHT_ODD):
-                assert (_outcome(solve_pell_singular, a, g, n, variant)
-                        == _outcome(frozen.solve_pell_singular, a, g, n, variant))
+            for variant in (PellVariant.DOUBLE_A, PellVariant.DOUBLE_B, *light):
+                want = _outcome(frozen.solve_pell_singular, a, g, n, variant)
+                if light_out and variant in light:
+                    want = GammaOutOfRangeError
+                assert _outcome(solve_pell_singular, a, g, n, variant) == want
             if g != 0:
-                assert (_outcome(conditions.lightlike_test, a, g, n)
-                        == _outcome(frozen.lightlike_test, a, g, n))
+                want = (GammaOutOfRangeError if light_out
+                        else _outcome(frozen.lightlike_test, a, g, n))
+                assert _outcome(conditions.lightlike_test, a, g, n) == want
 
 
 def test_lightlike_gamma_zero_is_out_of_range():

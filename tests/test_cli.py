@@ -113,6 +113,26 @@ def test_verify_pell_cert(tmp_path, capsys):
         assert err.startswith("precondition violated: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("key,spoil", [("n", lambda n: n + 0.7), ("n", str), ("n", bool),
+                                       ("p_coeffs", dict.fromkeys), ("q_coeffs", dict.fromkeys)])
+def test_verify_pell_refuses_a_malformed_certificate(tmp_path, capsys, key, spoil):
+    # a period that is not an int, or coefficients that are not a list, used
+    # to be coerced (int(4.7) == 4, a dict read as its keys) into a
+    # certificate that could read VALID
+    from fractions import Fraction as F
+    from minkbilliards import HyperellipticParams, PellVariant, solve_pell
+    sol = solve_pell(HyperellipticParams(F(1), F(6, 7), F(6), F(3, 4), F(-3)),
+                     4, PellVariant.EVEN_B)
+    cert = tmp_path / "cert.json"
+    cert.write_text(sol.to_json())
+    assert run(capsys, "verify-pell", "--cert", str(cert))[:2] == (0, "VALID\n")
+    doc = sol.to_json_dict()
+    cert.write_text(json.dumps({**doc, key: spoil(doc[key])}))
+    code, out, err = run(capsys, "verify-pell", "--cert", str(cert))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and "Traceback" not in err
+
+
 def test_find_periodic_cli(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

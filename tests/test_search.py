@@ -13,6 +13,7 @@ from minkbilliards import (
     CausticPair,
     Ellipsoid,
     LineType,
+    PeriodSignature,
     SearchSpec,
     chasles_residual,
     classify_case,
@@ -494,11 +495,11 @@ def test_closure_below_one_bounce_is_infinite(e421):
     assert math.isfinite(closure_error_at(traj, 1))
 
 
-@pytest.mark.parametrize("g1,g2,n", [(1.409901832, -0.998751589, 5),
-                                     (1.925821435, -0.703266336, 6)])
+@pytest.mark.parametrize("g1,g2,n", [(1.925821435, -0.703266336, 6)])
 def test_cross_validate_records_every_failed_gate(e421, g1, g2, n):
-    # two S1 roots off the searched branch: every stage runs, the searched
-    # branch's residual misses its bound, and the report says so
+    # an S1 root of the B branch at n = 6, whose block is 3 x 2 and has no
+    # float condition: every stage runs, the A residual misses its bound,
+    # and the report says so
     rep = cross_validate(e421, CausticPair(g1, g2, LineType.SPACELIKE, -1), n)
     assert not rep.valid
     assert rep.closure_error <= search.CLOSURE_TOL and rep.signature.n == n
@@ -506,6 +507,15 @@ def test_cross_validate_records_every_failed_gate(e421, g1, g2, n):
     assert rep.condition_residual > 0.1
     assert [name for name, *_, passed in rep.gates() if not passed] == ["conditions"]
     assert rep.to_json_dict()["failures"] == [{"stage": "gate", "error": rep.failures[0][1]}]
+
+
+def test_cross_validate_residual_covers_every_branch_at_n(e421):
+    # an S1 root of the D branch at n = 5: the search scans C, the first
+    # branch there, but the report's residual is the smallest over C and D
+    rep = cross_validate(e421, CausticPair(1.409901832, -0.998751589, LineType.SPACELIKE, -1), 5)
+    assert rep.condition_residual <= search.SEARCH_RESIDUAL_TOL
+    assert rep.signature == PeriodSignature(5, 1, 4, 2)
+    assert rep.valid and rep.failures == []
 
 
 def test_cross_validate_without_failures(e421):
