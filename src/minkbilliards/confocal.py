@@ -200,9 +200,9 @@ def _cubic_roots_trig(c0: float, c1: float, c2: float, c3: float) -> list[float]
     return [m * math.cos(theta - 2.0 * math.pi * k / 3.0) - shift for k in (0, 1, 2)]
 
 
-def _polish_cubic_root(coeffs: tuple[float, float, float, float], x: float, steps: int = 2) -> float:
+def _polish_cubic_root(coeffs: tuple[float, float, float, float], x: float) -> float:
     c0, c1, c2, c3 = coeffs
-    for _ in range(steps):
+    for _ in range(2):
         f = ((c3 * x + c2) * x + c1) * x + c0
         df = (3.0 * c3 * x + 2.0 * c2) * x + c1
         if df == 0.0:

@@ -231,14 +231,24 @@ class PellSolution:
 
     @staticmethod
     def from_json_dict(d: dict) -> "PellSolution":
-        def fr(s: str | None) -> Fraction | None:
-            return None if s is None else Fraction(s)
+        """The certificate that ``to_json_dict`` wrote: its parameters and
+        coefficients are "p/q" strings, and only gamma2 may be null; a
+        document of any other shape raises ValueError."""
+        def fr(s: str) -> Fraction:
+            if type(s) is not str:
+                raise ValueError(f"a certificate number is a 'p/q' string, got {s!r}")
+            try:
+                return Fraction(s)
+            except ZeroDivisionError:
+                raise ValueError(f"a certificate number has a zero denominator: {s!r}") from None
 
-        if type(d["n"]) is not int or not all(type(d[k]) is list for k in ("p_coeffs", "q_coeffs")):
-            raise ValueError("a certificate needs an integer 'n' and lists 'p_coeffs', 'q_coeffs'")
-        params = HyperellipticParams(
-            fr(d["params"]["a1"]), fr(d["params"]["a2"]), fr(d["params"]["a3"]),
-            fr(d["params"]["gamma1"]), fr(d["params"]["gamma2"]))
+        if not (type(d) is dict and type(d["n"]) is int and type(d["params"]) is dict
+                and all(type(d[k]) is list for k in ("p_coeffs", "q_coeffs"))):
+            raise ValueError("a certificate is an object with an integer 'n', an object "
+                             "'params' and lists 'p_coeffs', 'q_coeffs'")
+        ps = d["params"]
+        params = HyperellipticParams(fr(ps["a1"]), fr(ps["a2"]), fr(ps["a3"]), fr(ps["gamma1"]),
+                                     None if ps["gamma2"] is None else fr(ps["gamma2"]))
         p = RatPoly.of([fr(c) for c in d["p_coeffs"]])
         q = RatPoly.of([fr(c) for c in d["q_coeffs"]])
         variant = PellVariant(d["variant"])

@@ -101,20 +101,20 @@ _CASE_RECTS = {case: _scan_rect(intervals) for case, (_, intervals) in _CASE_INT
 def _float_branches(case: CausticCase, n: int) -> tuple[SeriesKind, ...]:
     """The case's branches at n whose block is 2 x 1 (n = s + 2), in table
     order: their condition is the pair ``condition_vector`` returns.  Empty
-    without a branch at n; EmptyRangeError below n = 3, or where every
-    branch has a larger block."""
+    where no branch at n has a 2 x 1 block; EmptyRangeError below n = 3."""
     if n < 3:
         raise EmptyRangeError(f"period n={n} is below 3, where no periodicity condition applies")
-    branches = _branches(case, n)
-    kinds = tuple(kind for kind in branches if n == _start(kind) + 2)
-    if branches and not kinds:
-        raise EmptyRangeError(f"period n={n} is not supported by the condition search (use 4, 5 or 6)")
-    return kinds
+    return tuple(kind for kind in _branches(case, n) if n == _start(kind) + 2)
 
 
 def _search_kind(case: CausticCase, n: int) -> SeriesKind | None:
-    """The branch searched at (case, n): the first of ``_float_branches``."""
-    return next(iter(_float_branches(case, n)), None)
+    """The branch searched at (case, n): the first of ``_float_branches``.
+    None without a branch at n; EmptyRangeError below n = 3, or where every
+    branch at n has a larger block."""
+    kinds = _float_branches(case, n)
+    if not kinds and _branches(case, n):
+        raise EmptyRangeError(f"period n={n} is not supported by the condition search (use 4, 5 or 6)")
+    return next(iter(kinds), None)
 
 
 @dataclass(frozen=True)
@@ -350,15 +350,15 @@ def _refine_candidates(spec: SearchSpec, kind: SeriesKind,
 
 
 def scan_singular_condition(a: tuple[float, float, float], case: CausticCase, n: int,
-                            g_range: tuple[float, float],
-                            samples: int = 400) -> list[tuple[float, float]]:
+                            g_range: tuple[float, float]) -> list[tuple[float, float]]:
     """1-D scan for the degenerate cases, where only gamma1 is free.
 
-    Brackets sign changes of the first named condition coefficient over the
-    range, bisects each bracket to machine width, and returns (root, value of
-    the second coefficient there).  Both coefficients vanish only at a true
-    root of the degenerate periodicity condition, so callers must check the
-    second value (or the exact test) before trusting a root.
+    Brackets sign changes of the first named condition coefficient between
+    400 evenly spaced samples of the range, bisects each bracket to machine
+    width, and returns (root, value of the second coefficient there).  Both
+    coefficients vanish only at a true root of the degenerate periodicity
+    condition, so callers must check the second value (or the exact test)
+    before trusting a root.
     """
     if case not in (CausticCase.DOUBLE, CausticCase.LIGHT):
         raise EmptyRangeError("the 1-D scan applies to the double and light-like cases")
@@ -372,12 +372,11 @@ def scan_singular_condition(a: tuple[float, float, float], case: CausticCase, n:
     def f1(g: float) -> float:
         return condition_vector(a, kind, n, g, None)[0]
 
-    gs = np.linspace(lo, hi, samples)
+    gs = np.linspace(lo, hi, 400)
     with np.errstate(all="ignore"):
         vals = f1(gs).tolist()
     out = []
-    for i in range(samples - 1):
-        va, vb = vals[i], vals[i + 1]
+    for i, (va, vb) in enumerate(zip(vals, vals[1:])):
         if not (math.isfinite(va) and math.isfinite(vb)) or va * vb > 0.0:
             continue
         x0, x1 = float(gs[i]), float(gs[i + 1])
@@ -422,10 +421,9 @@ def tangent_line_for_caustics(ell: Ellipsoid, cp: CausticPair,
     """
     part = interval_partition(cp, ell)
     (c1, _), (_, b1), (b2, b3) = part.motion_intervals()
-    # the coordinate slot (0, 1, 2) whose motion interval has gamma1 as an endpoint
-    if cp.gamma1 == c1:
-        slot1 = 0
-    elif cp.gamma1 == b1:
+    # the coordinate slot (1 or 2) whose motion interval has gamma1 as an
+    # endpoint: gamma1 > 0 in every case, so it is never slot 0's c1 <= 0
+    if cp.gamma1 == b1:
         slot1 = 1
     elif cp.gamma1 in (b2, b3):
         slot1 = 2
@@ -606,21 +604,23 @@ def closure_error_at(traj: Trajectory, n: int) -> float:
     return max(dp, dd)
 
 
-def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
-                   starts: int = 3) -> ValidationReport:
-    """Full pipeline: exact verdict, Pell certificate, multi-start tracing,
-    period detection, parity, Chasles and the winding-number residuals.
+def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int) -> ValidationReport:
+    """Full pipeline: exact verdict, Pell certificate, tracing from three
+    starts (seeds 0, 1, 2), period detection, parity, Chasles and the
+    winding-number residuals; below n = 3 it raises as ``find_periodic`` does.
 
     The exact verdict names the deficient branch of the case at n, if any;
     only then is Pell solved, once, for that branch's variant, so the
     certificate is the nullspace of the deficient branch's Hankel block.
     The condition residual is the smallest |f1| + |f2| over the case's
-    branches at n with a 2 x 1 block (``_float_branches``).
+    branches at n with a 2 x 1 block (``_float_branches``); without one, the
+    missing condition is a failure only when the exact verdict fails.
     Every start that closes must give the same (n, m1, n1); the report's
     signature is the first such start's, and its lam3 oscillation count n2
     is counted on that start alone, once per report.  Each gate of
     ``ValidationReport.gates`` that fails is recorded as stage ``gate``."""
     case = classify_case(cp, ell)
+    kinds = _float_branches(case, n)
     g2 = cp.gamma1 if cp.is_double else cp.gamma2    # snap the double caustic
     params = HyperellipticParams.from_floats(ell.a1, ell.a2, ell.a3, cp.gamma1, g2)
     report = ValidationReport((ell.a1, ell.a2, ell.a3), case, n, cp.gamma1, g2)
@@ -633,12 +633,11 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
         report.fail("cayley", exc)
     report.cayley_pass = branch is not None
     try:
-        kinds = _float_branches(case, n)
-        if not kinds:
-            report.fail("condition", f"case {case.value} has no condition branch at n={n}")
-        else:
+        if kinds:
             vectors = (condition_vector(report.ellipsoid, kind, n, cp.gamma1, g2) for kind in kinds)
             report.condition_residual = min(abs(f1) + abs(f2) for f1, f2 in vectors)
+        elif not report.cayley_pass and _search_kind(case, n) is None:
+            report.fail("condition", f"case {case.value} has no condition branch at n={n}")
     except (BilliardError, ValueError, ZeroDivisionError) as exc:
         report.fail("condition", exc)
     if branch is not None:
@@ -650,12 +649,11 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
         except (BilliardError, ValueError) as exc:
             report.fail("pell", f"{variant.value}: {exc}")
 
-    # numeric side: several distinct starting tangent lines, same caustics;
-    # below n = 3 the condition failure is the reason, and nothing is traced
+    # numeric side: three distinct starting tangent lines, same caustics
     closed: list[tuple[tuple[int, int, int], Trajectory]] = []    # (n, m1, n1), start
     closures: list[float] = []
     chasles: list[float] = []
-    for k in range(starts if n >= 3 else 0):
+    for k in range(3):
         try:
             x, v = tangent_line_for_caustics(ell, cp, seed=k)
         except NoConvergenceError as exc:
@@ -708,8 +706,8 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int,
 
     # every failing gate is recorded once both sides have run.  A failed
     # condition stage (no condition at this period) is itself the reason, and
-    # stays the last failure; without a traced start (starts=0, or every start
-    # failed and said why) the numeric gates judge nothing
+    # stays the last failure; without a traced start (every start failed and
+    # said why) the numeric gates judge nothing
     if closures and all(stage != "condition" for stage, _ in report.failures):
         for name, value, bound, passed in report.gates():
             if not passed:

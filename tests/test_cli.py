@@ -113,12 +113,21 @@ def test_verify_pell_cert(tmp_path, capsys):
         assert err.startswith("precondition violated: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("key,spoil", [("n", lambda n: n + 0.7), ("n", str), ("n", bool),
-                                       ("p_coeffs", dict.fromkeys), ("q_coeffs", dict.fromkeys)])
+@pytest.mark.parametrize("key,spoil", [
+    ("n", lambda n: n + 0.7), ("n", str), ("n", bool),
+    ("p_coeffs", dict.fromkeys), ("q_coeffs", dict.fromkeys),
+    pytest.param(None, lambda doc: [doc], id="document-list"),
+    pytest.param("params", lambda ps: list(ps.values()), id="params-list"),
+    pytest.param("p_coeffs", lambda cs: [None, *cs[1:]], id="coefficient-null"),
+    pytest.param("q_coeffs", lambda cs: ["1/0", *cs[1:]], id="coefficient-zero-denominator"),
+    pytest.param("params", lambda ps: {**ps, "a1": 1.0}, id="param-number"),
+])
 def test_verify_pell_refuses_a_malformed_certificate(tmp_path, capsys, key, spoil):
     # a period that is not an int, or coefficients that are not a list, used
     # to be coerced (int(4.7) == 4, a dict read as its keys) into a
-    # certificate that could read VALID
+    # certificate that could read VALID; a document or params that are no
+    # object, or a number that is no "p/q" string, raised a traceback or
+    # read VALID (key None spoils the whole document)
     from fractions import Fraction as F
     from minkbilliards import HyperellipticParams, PellVariant, solve_pell
     sol = solve_pell(HyperellipticParams(F(1), F(6, 7), F(6), F(3, 4), F(-3)),
@@ -127,7 +136,7 @@ def test_verify_pell_refuses_a_malformed_certificate(tmp_path, capsys, key, spoi
     cert.write_text(sol.to_json())
     assert run(capsys, "verify-pell", "--cert", str(cert))[:2] == (0, "VALID\n")
     doc = sol.to_json_dict()
-    cert.write_text(json.dumps({**doc, key: spoil(doc[key])}))
+    cert.write_text(json.dumps(spoil(doc) if key is None else {**doc, key: spoil(doc[key])}))
     code, out, err = run(capsys, "verify-pell", "--cert", str(cert))
     assert code == 2 and out == ""
     assert err.startswith("usage error: ") and "Traceback" not in err
@@ -239,6 +248,17 @@ def test_cross_validate_cli(tmp_path, capsys):
     assert reports[0]["signature"]["n"] == 4
 
 
+def test_cross_validate_cli_without_candidates(tmp_path, capsys):
+    # S3 has no odd period: no candidate to validate, which is no valid run
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "ellipsoid": [4.0, 2.0, 1.0], "case": "S3", "n": 5, "grid": 8,
+    }))
+    code, out, _ = run(capsys, "cross-validate", "--spec", str(spec))
+    assert code == 1
+    assert json.loads(out) == {"candidates": 0, "valid": False}
+
+
 def test_check_cayley_light_flag(capsys):
     code, out, _ = run(capsys, "check-cayley", "--params", "8,7,15,840/169",
                        "--case", "light", "--n", "6", "--light")
@@ -273,6 +293,23 @@ def test_trace_rejects_bad_input(capsys):
     code, out, _ = run(capsys, "trace", "--ellipsoid", "4,2,1",
                        "--point", "0.1,0.2,0.05", "--dir", "1,0.3,0.2", "--bounces", "0")
     assert code == 0 and json.loads(out)["bounces"] == []
+
+
+def test_trace_reports_a_truncated_trajectory(tmp_path, capsys):
+    # a chord that ends transversally on the tropic curve of (4, 2, 1), at
+    # (4, 0, 1)/sqrt(5): the trajectory is written, the reflection there is
+    # undefined, and the command exits 1
+    x3 = 1.0 / 5.0 ** 0.5
+    tropic = (4.0 * x3, 0.0, x3)
+    chord = (-tropic[0], 0.05, -tropic[2])
+    start = ",".join(repr(t + c) for t, c in zip(tropic, chord))
+    back = ",".join(repr(-c) for c in chord)
+    out_file = tmp_path / "traj.json"
+    code, _, err = run(capsys, "trace", "--ellipsoid", "4,2,1", "--point", start,
+                       f"--dir={back}", "--bounces", "5", "--out", str(out_file))
+    assert code == 1
+    assert err.startswith("trajectory truncated: reflection: ")
+    assert json.loads(out_file.read_text())["bounces"][-1]["component"] == "tropic"
 
 
 def _modules_after(code: str) -> set[str]:

@@ -137,6 +137,17 @@ def test_cayley_case_mismatch():
         cayley_test(p, CausticCase.T1, 4)
 
 
+def test_cayley_case_needs_its_caustic_shape():
+    # a light-like case needs gamma2 at infinity, and a two-caustic case two
+    # distinct finite caustics
+    with pytest.raises(CaseMismatchError, match="at-infinity sentinel"):
+        cayley_test(params421(F(1), -F(1, 2)), CausticCase.LIGHT, 6)
+    for gamma2 in (None, F(1)):
+        p = HyperellipticParams(F(4), F(2), F(1), F(1), gamma2)
+        with pytest.raises(CaseMismatchError, match="two distinct finite caustics"):
+            cayley_test(p, CausticCase.S1, 4)
+
+
 def test_cayley_order_independence():
     # ranks computed from exact coefficients cannot depend on how far the
     # series is extended once the block fits

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -243,14 +244,21 @@ def test_cross_validate_exact_odd_vector():
     assert rep.valid
 
 
-def _reference_cross_validate(ell, cp, n, starts=3):
+_NUMERIC_FIELDS = ("closure_error", "signature", "signatures_agree", "parity_pass",
+                   "darboux_residuals", "chasles_residual")
+
+
+def _reference_cross_validate(ell, cp, n):
     """cross_validate with detect_period, lam3 sweep included, on every
-    start, for a two-caustic case.  The exact side is cross_validate's own,
-    run without starts; the numeric side and the Darboux relations follow
-    the report's rules."""
-    report = cross_validate(ell, cp, n, starts=0)
+    start, for a two-caustic case.  The exact side is cross_validate's own:
+    its report with the numeric fields and records reset, which the numeric
+    side and the Darboux relations then fill in by the report's rules."""
+    full = cross_validate(ell, cp, n)
+    report = dataclasses.replace(
+        full, failures=[(s, e) for s, e in full.failures if s in ("cayley", "condition", "pell")],
+        **{f.name: f.default for f in dataclasses.fields(full) if f.name in _NUMERIC_FIELDS})
     signatures, closures, chasles = [], [], []
-    for k in range(starts):
+    for k in range(3):
         try:
             x, v = tangent_line_for_caustics(ell, cp, seed=k)
         except NoConvergenceError as exc:
@@ -437,19 +445,69 @@ def test_cross_validate_reports_condition_stage(e421):
     assert not rep.valid
 
 
-def test_cross_validate_keeps_every_failed_stage(e421):
-    # below the period thresholds both the exact test and the float
-    # condition search reject n=2: the report keeps both failures in order,
-    # and failure_stage is still the last of them
-    cp = CausticPair(1.0, -0.5, LineType.SPACELIKE, -1)
-    rep = cross_validate(e421, cp, 2)
-    assert [stage for stage, _ in rep.failures] == ["cayley", "condition"]
-    assert rep.failures[0][1] == "period must be at least 3"
-    assert rep.failure_stage == "condition: " + rep.failures[1][1]
-    doc = rep.to_json_dict()
-    assert doc["failures"] == [{"stage": s, "error": e} for s, e in rep.failures]
-    assert doc["failure_stage"] == rep.failure_stage
-    assert not rep.valid
+def test_cross_validate_keeps_every_failed_stage(e421, monkeypatch):
+    # below n = 3 no stage applies: cross_validate raises the search's
+    # EmptyRangeError before any work instead of returning a partial report
+    # of failed stages
+    with pytest.raises(EmptyRangeError) as searched:
+        find_periodic(SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, 2, grid=8))
+
+    def never(*args, **kwargs):
+        raise AssertionError("no work below n = 3")
+
+    monkeypatch.setattr(search, "_deficient_branch", never)
+    monkeypatch.setattr(search, "tangent_line_for_caustics", never)
+    with pytest.raises(EmptyRangeError) as validated:
+        cross_validate(e421, CausticPair(1.0, -0.5, LineType.SPACELIKE, -1), 2)
+    assert str(validated.value) == str(searched.value)
+
+
+def test_cross_validate_records_a_missing_condition_only_when_the_exact_verdict_fails(e421):
+    # the S1 set (1, 6/7, 6), (3/4, -3) has no 2 x 1 branch at n = 8 or 12,
+    # but its exact verdict holds and passes the conditions gate alone: the
+    # report reads valid with no failure.  On (4, 2, 1) the verdict fails at
+    # n = 8, and the missing condition is the recorded reason
+    ell = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
+    for n in (8, 12):
+        rep = cross_validate(ell, CausticPair(0.75, -3.0, LineType.SPACELIKE, -1), n)
+        assert rep.cayley_pass and rep.condition_residual == math.inf
+        assert rep.valid and rep.failures == [] and rep.failure_stage is None
+    rep = cross_validate(e421, CausticPair(1.0, -0.5, LineType.SPACELIKE, -1), 8)
+    assert not rep.valid and rep.failure_stage.startswith("condition: ")
+
+
+def test_cross_validate_records_failed_starts(monkeypatch):
+    # a start whose tangent line is not found, or whose trace truncates, is
+    # recorded with its stage and leaves the others traced; with no traced
+    # start the numeric gates judge nothing and record no gate
+    ell = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
+    cp = CausticPair(0.75, -3.0, LineType.SPACELIKE, -1)
+    tangent_line, real_trace = search.tangent_line_for_caustics, search.trace
+
+    def lost_line(seeds):
+        def line(ell, cp, seed=0):
+            if seed in seeds:
+                raise NoConvergenceError(f"seed {seed} lost")
+            return tangent_line(ell, cp, seed=seed)
+        return line
+
+    def truncated(x, v, ell, max_bounces):
+        traj = real_trace(x, v, ell, max_bounces)
+        traj.error = "impact: cut short"
+        return traj
+
+    monkeypatch.setattr(search, "tangent_line_for_caustics", lost_line({1}))
+    rep = cross_validate(ell, cp, 4)
+    assert rep.failures == [("tangent line", "seed 1 lost")]
+    assert rep.closure_error <= 1e-9 and rep.signature.n == 4 and rep.signatures_agree
+
+    monkeypatch.setattr(search, "tangent_line_for_caustics", lost_line({0, 2}))
+    monkeypatch.setattr(search, "trace", truncated)
+    rep = cross_validate(ell, cp, 4)
+    assert rep.failures == [("tangent line", "seed 0 lost"), ("trace", "impact: cut short"),
+                            ("tangent line", "seed 2 lost")]
+    assert rep.failure_stage == "tangent line: seed 2 lost"
+    assert rep.closure_error == math.inf and rep.signature is None and not rep.valid
 
 
 @pytest.mark.parametrize("cp,n", [(CausticPair(1.0, -3.5, LineType.SPACELIKE, -1), 4),
@@ -464,26 +522,25 @@ def test_cross_validate_names_a_missing_branch(e421, cp, n):
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])
 def test_periods_below_three_raise(e421, n):
-    # below n = 3 no periodicity condition starts: the searches raise and a
-    # report records a condition failure; n = 3 is a period at which S1 has
-    # no branch, so the search is empty
+    # below n = 3 no periodicity condition starts: the searches and
+    # cross_validate raise one message; n = 3 is a period at which S1 has no
+    # branch, so the search is empty and a report records a condition failure
     spec = SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, n, grid=8)
-    rep = cross_validate(e421, CausticPair(1.0, -0.5, LineType.SPACELIKE, -1), n)
+    cp = CausticPair(1.0, -0.5, LineType.SPACELIKE, -1)
     if n < 3:
-        with pytest.raises(EmptyRangeError, match=f"n={n} is below 3"):
-            find_periodic(spec)
-        with pytest.raises(EmptyRangeError, match=f"n={n} is below 3"):
-            scan_singular_condition((4.0, 2.0, 1.0), CausticCase.LIGHT, n, (0.05, 1.95))
-        assert rep.failure_stage == f"condition: period n={n} is below 3, where no " \
-                                    "periodicity condition applies"
-        # nothing is traced, so no closure is measured, not even bounce 0
-        # against itself (n = 0) or the last bounce against the first (n = -1)
-        if n < 1:
-            assert rep.closure_error == float("inf")
+        message = f"period n={n} is below 3, where no periodicity condition applies"
+        for run in (lambda: find_periodic(spec),
+                    lambda: scan_singular_condition((4.0, 2.0, 1.0), CausticCase.LIGHT, n,
+                                                    (0.05, 1.95)),
+                    lambda: cross_validate(e421, cp, n)):
+            with pytest.raises(EmptyRangeError) as info:
+                run()
+            assert str(info.value) == message
     else:
+        rep = cross_validate(e421, cp, n)
         assert find_periodic(spec) == []
         assert rep.failure_stage == "condition: case S1 has no condition branch at n=3"
-    assert not rep.valid
+        assert not rep.valid
 
 
 def test_closure_below_one_bounce_is_infinite(e421):
