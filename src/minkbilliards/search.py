@@ -73,6 +73,7 @@ from .simulator import (
     _lambda3_event_count,
     _period,
     chasles_residual,
+    closure_error_at,
     parity_ok,
     trace,
 )
@@ -589,21 +590,6 @@ class ValidationReport:
         }
 
 
-def closure_error_at(traj: Trajectory, n: int) -> float:
-    """Phase-space mismatch between bounce n and bounce 0; inf when n < 1,
-    where no bounce closes the orbit, or the trajectory has no bounce n."""
-    if n < 1 or len(traj.bounces) <= n:
-        return math.inf
-    p0, pn = traj.bounces[0], traj.bounces[n]
-    d0 = p0.outgoing.euclid_normalized()
-    dn = pn.outgoing.euclid_normalized()
-    scale = traj.ellipsoid.scale()
-    dp = math.sqrt((pn.point.x1 - p0.point.x1) ** 2 + (pn.point.x2 - p0.point.x2) ** 2
-                   + (pn.point.x3 - p0.point.x3) ** 2) / scale
-    dd = math.sqrt((dn.x1 - d0.x1) ** 2 + (dn.x2 - d0.x2) ** 2 + (dn.x3 - d0.x3) ** 2)
-    return max(dp, dd)
-
-
 def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int) -> ValidationReport:
     """Full pipeline: exact verdict, Pell certificate, tracing from three
     starts (seeds 0, 1, 2), period detection, parity, Chasles and the
@@ -615,10 +601,12 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int) -> ValidationReport:
     The condition residual is the smallest |f1| + |f2| over the case's
     branches at n with a 2 x 1 block (``_float_branches``); without one, the
     missing condition is a failure only when the exact verdict fails.
-    Every start that closes must give the same (n, m1, n1); the report's
-    signature is the first such start's, and its lam3 oscillation count n2
-    is counted on that start alone, once per report.  Each gate of
-    ``ValidationReport.gates`` that fails is recorded as stage ``gate``."""
+    All three starts must close and give the same (n, m1, n1), so a start
+    whose tangent line or trace fails fails the ``signatures_agree`` gate;
+    the report's signature is the first closed start's, and its lam3
+    oscillation count n2 is counted on that start alone, once per report.
+    Each gate of ``ValidationReport.gates`` that fails is recorded as stage
+    ``gate``."""
     case = classify_case(cp, ell)
     kinds = _float_branches(case, n)
     g2 = cp.gamma1 if cp.is_double else cp.gamma2    # snap the double caustic
@@ -672,12 +660,12 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int) -> ValidationReport:
         report.closure_error = max(closures)
         report.chasles_residual = max(chasles)
     if closed:
-        # the starts must agree on (n, m1, n1); the report keeps the first
-        # closed start's signature, so only that start's lam3 is counted
+        # all three starts must close and agree on (n, m1, n1); the report
+        # keeps the first closed start's signature, so only that start's lam3
+        # is counted
         (per, m1, n1), first = closed[0]
         report.signature = PeriodSignature(per, m1, n1, _lambda3_event_count(first, per))
-        report.signatures_agree = (len(closed) == len(closures)
-                                   and all(p == closed[0][0] for p, _ in closed))
+        report.signatures_agree = len(closed) == 3 and all(p == closed[0][0] for p, _ in closed)
         report.parity_pass = parity_ok(report.signature, case)
 
     # winding-number relation

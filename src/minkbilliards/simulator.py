@@ -13,11 +13,14 @@ Each stage of a bounce is a private kernel on plain float triples
 (``_impact``, ``_normal``, ``_component``, ``_reflect_at``); the public
 ``Vec3`` functions ``next_impact``, ``surface_normal``,
 ``classify_surface_point`` and ``reflect_at`` wrap them, and ``trace`` runs
-them directly, building only the two ``Vec3`` a record keeps per bounce.
+them directly.  A trajectory stores each record as one flat row of floats
+(``Row``) and builds no object per bounce; ``Trajectory.bounces`` is a
+read-only view that builds a ``BounceRecord`` only where one is read.
 Elliptic coordinates of a bounce point are computed when a record's
 ``coords`` is read, not while tracing.
 
-The readers of a finished trajectory each make one pass over its records.
+The readers of a finished trajectory each make one pass over its rows,
+and this module is the only one that reads the row layout.
 ``chasles_residual`` makes one ``confocal._tangency`` call per segment and
 takes each caustic's residual weights once.  ``_period`` finds the period
 and its bounce counts, normalizing a direction only where the position has
@@ -30,6 +33,7 @@ lam3 twice between consecutive events through ``confocal._coords``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -106,15 +110,69 @@ class PeriodSignature:
     n2: int
 
 
+# One record as a flat row: the impact point (0-2), the incoming (3-5) and
+# outgoing (6-8) directions, the surface component (9) and the ray
+# parameter t (10).  ``trace`` puts the outgoing floats of one row into the
+# next row as its incoming floats, the same objects.
+Row = tuple[float, float, float, float, float, float, float, float, float,
+            SurfaceComponent, float]
+
+
+def _records(rows: Sequence[Row], ell: Ellipsoid) -> Iterator[BounceRecord]:
+    """The records of consecutive rows.  Where a row's incoming floats are
+    the previous row's outgoing floats, its record shares that direction's
+    ``Vec3`` with the previous record, as the records of a trace did when
+    the loop built them."""
+    o1 = o2 = o3 = out = None
+    for x1, x2, x3, i1, i2, i3, w1, w2, w3, comp, t in rows:
+        incoming = out if i1 is o1 and i2 is o2 and i3 is o3 else Vec3(i1, i2, i3)
+        o1, o2, o3 = w1, w2, w3
+        out = Vec3(w1, w2, w3)
+        yield BounceRecord(Vec3(x1, x2, x3), incoming, out, comp, t, ell)
+
+
+class BounceView(Sequence):
+    """Read-only view of a trajectory's rows as ``BounceRecord``s.
+
+    ``len`` reads the rows.  Indexing builds the record it returns, and
+    slicing and iteration build theirs as ``_records`` does."""
+
+    __slots__ = ("_rows", "_ell")
+
+    def __init__(self, rows: list[Row], ell: Ellipsoid) -> None:
+        self._rows = rows
+        self._ell = ell
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i: int | slice) -> BounceRecord | list[BounceRecord]:
+        if isinstance(i, slice):
+            return list(_records(self._rows[i], self._ell))
+        return next(_records((self._rows[i],), self._ell))
+
+    def __iter__(self) -> Iterator[BounceRecord]:
+        return _records(self._rows, self._ell)
+
+
 @dataclass(slots=True)
 class Trajectory:
+    """A traced orbit: its start and table, one ``Row`` per record, the
+    caustics and case of its line, and the error that ended it early, if
+    any.  ``bounces`` reads the rows as ``BounceRecord``s."""
+
     start_point: Vec3
     start_direction: Vec3
     ellipsoid: Ellipsoid
-    bounces: list[BounceRecord] = field(default_factory=list)
+    rows: list[Row] = field(default_factory=list)
     caustics: CausticPair | None = None
     case: CausticCase | None = None
     error: str | None = None
+
+    @property
+    def bounces(self) -> BounceView:
+        """The records of the rows, built as they are read."""
+        return BounceView(self.rows, self.ellipsoid)
 
     @property
     def linetype(self) -> LineType:
@@ -239,8 +297,9 @@ def trace(p: Vec3, v: Vec3, ell: Ellipsoid, max_bounces: int) -> Trajectory:
     partial trajectories carry the failure in ``error``.  A start point
     outside the ellipsoid raises OutsideDomainError and a negative bounce
     count ValueError.  The loop carries position and direction as floats
-    through the stage kernels; each bounce builds two checked ``Vec3``, the
-    impact point and the outgoing direction, which its records share.
+    through the stage kernels and appends one ``Row`` per record; a
+    non-finite impact point or outgoing direction raises the ``Vec3``
+    ValueError.
     """
     if max_bounces < 0:
         raise ValueError(f"bounce count must be nonnegative, got {max_bounces}")
@@ -255,41 +314,44 @@ def trace(p: Vec3, v: Vec3, ell: Ellipsoid, max_bounces: int) -> Trajectory:
         traj.error = f"caustics: {exc}"
         return traj
 
-    bounces = traj.bounces
+    rows = traj.rows
+    isfinite = math.isfinite
     p1, p2, p3 = p.x1, p.x2, p.x3
     v1, v2, v3 = v.x1, v.x2, v.x3
-    cur_v = v
     tfloor = 1e-10 * ell.scale()
-    while len(bounces) < max_bounces:
+    while len(rows) < max_bounces:
         try:
             p1, p2, p3, t = _impact(p1, p2, p3, v1, v2, v3, ell, tfloor)
         except BilliardError as exc:
             traj.error = f"impact: {exc}"
             break
-        hit = Vec3(p1, p2, p3)
+        if not isfinite(p1 + p2 + p3):
+            Vec3(p1, p2, p3)    # a non-finite point raises the Vec3 ValueError
         n1, n2, n3 = _normal(p1, p2, p3, ell)
         comp = _component(n1, n2, n3, p3, TROPIC_TOL)
         try:
-            v1, v2, v3 = _reflect_at(v1, v2, v3, n1, n2, n3, comp is _TROPIC)
+            o1, o2, o3 = _reflect_at(v1, v2, v3, n1, n2, n3, comp is _TROPIC)
         except BilliardError as exc:
-            bounces.append(BounceRecord(hit, cur_v, cur_v, comp, t, ell))
+            rows.append((p1, p2, p3, v1, v2, v3, v1, v2, v3, comp, t))
             traj.error = f"reflection: {exc}"
             break
-        out = Vec3(v1, v2, v3)
+        if not isfinite(o1 + o2 + o3):
+            Vec3(o1, o2, o3)    # and so does a non-finite outgoing direction
         if comp is _TROPIC:
             # counted as two reflections: one off a cap, one off the belt
             cap = _CAP_NORTH if p3 >= 0.0 else _CAP_SOUTH
-            bounces.append(BounceRecord(hit, cur_v, out, cap, t, ell))
-            bounces.append(BounceRecord(hit, cur_v, out, _BELT, t, ell))
+            rows.append((p1, p2, p3, v1, v2, v3, o1, o2, o3, cap, t))
+            rows.append((p1, p2, p3, v1, v2, v3, o1, o2, o3, _BELT, t))
         else:
-            bounces.append(BounceRecord(hit, cur_v, out, comp, t, ell))
-        cur_v = out
+            rows.append((p1, p2, p3, v1, v2, v3, o1, o2, o3, comp, t))
+        v1, v2, v3 = o1, o2, o3
     return traj
 
 
 def chasles_residual(traj: Trajectory) -> float:
     """Worst normalized tangency residual of any segment at either caustic."""
-    if traj.caustics is None or len(traj.bounces) < 2:
+    rows = traj.rows
+    if traj.caustics is None or len(rows) < 2:
         return 0.0
     cp = traj.caustics
     ell = traj.ellipsoid
@@ -297,13 +359,15 @@ def chasles_residual(traj: Trajectory) -> float:
     worst = 0.0
     # the segments leave the start and every bounce but the last
     p, v = traj.start_point, traj.start_direction
-    for b in traj.bounces:
-        coeffs = _tangency(p.x1, p.x2, p.x3, *_unit(v.x1, v.x2, v.x3), ell)
+    x1, x2, x3, v1, v2, v3 = p.x1, p.x2, p.x3, v.x1, v.x2, v.x3
+    for row in rows:
+        u1, u2, u3 = _unit(v1, v2, v3)
+        coeffs = _tangency(x1, x2, x3, u1, u2, u3, ell)
         for weights in caustics:
             r = _tangency_residual(coeffs, weights)
             if r > worst:    # as max(worst, r): a NaN residual keeps worst
                 worst = r
-        p, v = b.point, b.outgoing
+        x1, x2, x3, _, _, _, v1, v2, v3, _, _ = row
     return worst
 
 
@@ -325,11 +389,11 @@ def _lambda3_event_count(traj: Trajectory, n: int) -> int:
     # the light-like sentinel gamma2 touches at infinity: no finite event
     denoms = [(ell.a1 - g, ell.a2 - g, ell.a3 + g) for g in gammas if g is not None]
     denoms = [dd for dd in denoms if 0.0 not in dd]
-    pts = [b.point for b in traj.bounces[:n + 1]]
+    head = traj.rows[:n + 1]
     vals: list[float] = []
-    for a, b in zip(pts, pts[1:]):
-        x1, x2, x3 = a.x1, a.x2, a.x3
-        d1, d2, d3 = b.x1 - x1, b.x2 - x2, b.x3 - x3
+    for a, b in zip(head, head[1:]):
+        x1, x2, x3 = a[0], a[1], a[2]
+        d1, d2, d3 = b[0] - x1, b[1] - x2, b[2] - x3
         events = [0.0]
         for e1, e2, e3 in denoms:
             aa = d1 * d1 / e1 + d2 * d2 / e2 + d3 * d3 / e3
@@ -378,28 +442,41 @@ def _period(traj: Trajectory, tol: float) -> tuple[int, int, int] | None:
     tropic event) repeats its predecessor, so past index 1 it closes only
     after its predecessor has; at index 1 the test keeps it from closing
     against the record it repeats."""
-    if traj.error is not None or not traj.bounces:
+    rows = traj.rows
+    if traj.error is not None or not rows:
         return None
-    recs = traj.bounces
     reach = tol * traj.ellipsoid.scale()
-    p0, o = recs[0].point, recs[0].outgoing
-    x1, x2, x3 = p0.x1, p0.x2, p0.x3
-    d1, d2, d3 = _unit(o.x1, o.x2, o.x3)
-    for n in range(1, len(recs)):
-        rec = recs[n]
-        p = rec.point
-        if math.sqrt((p.x1 - x1) ** 2 + (p.x2 - x2) ** 2 + (p.x3 - x3) ** 2) <= reach:
-            prev = recs[n - 1]
-            if p == prev.point and rec.outgoing == prev.outgoing:
+    row = rows[0]
+    x1, x2, x3 = row[0], row[1], row[2]
+    d1, d2, d3 = _unit(row[6], row[7], row[8])
+    for n in range(1, len(rows)):
+        row = rows[n]
+        if math.sqrt((row[0] - x1) ** 2 + (row[1] - x2) ** 2 + (row[2] - x3) ** 2) <= reach:
+            prev = rows[n - 1]
+            if row[0:3] == prev[0:3] and row[6:9] == prev[6:9]:
                 continue
-            o = rec.outgoing
-            e1, e2, e3 = _unit(o.x1, o.x2, o.x3)
+            e1, e2, e3 = _unit(row[6], row[7], row[8])
             if math.sqrt((e1 - d1) ** 2 + (e2 - d2) ** 2 + (e3 - d3) ** 2) <= tol:
-                head = recs[:n]
-                m1 = sum(1 for r in head if r.component in (_CAP_NORTH, _CAP_SOUTH))
-                n1 = sum(1 for r in head if r.component is _BELT)
-                return n, m1, n1
+                comps = [r[9] for r in rows[:n]]
+                return n, comps.count(_CAP_NORTH) + comps.count(_CAP_SOUTH), comps.count(_BELT)
     return None
+
+
+def closure_error_at(traj: Trajectory, n: int) -> float:
+    """Phase-space mismatch between bounce n and bounce 0, the closure gate
+    of ``search.cross_validate``; inf when n < 1, where no bounce closes the
+    orbit, or the trajectory has no bounce n."""
+    rows = traj.rows
+    if n < 1 or len(rows) <= n:
+        return math.inf
+    x1, x2, x3, _, _, _, o1, o2, o3, _, _ = rows[0]
+    y1, y2, y3, _, _, _, q1, q2, q3, _, _ = rows[n]
+    d1, d2, d3 = _unit(o1, o2, o3)
+    e1, e2, e3 = _unit(q1, q2, q3)
+    scale = traj.ellipsoid.scale()
+    dp = math.sqrt((y1 - x1) ** 2 + (y2 - x2) ** 2 + (y3 - x3) ** 2) / scale
+    dd = math.sqrt((e1 - d1) ** 2 + (e2 - d2) ** 2 + (e3 - d3) ** 2)
+    return max(dp, dd)
 
 
 def detect_period(traj: Trajectory, tol: float = RETURN_TOL_DEFAULT) -> PeriodSignature | None:

@@ -277,7 +277,7 @@ def _reference_cross_validate(ell, cp, n):
         report.closure_error, report.chasles_residual = max(closures), max(chasles)
     if signatures:
         sig = report.signature = signatures[0]
-        report.signatures_agree = len(signatures) == len(closures) and all(
+        report.signatures_agree = len(signatures) == 3 and all(
             (s.n, s.m1, s.n1) == (sig.n, sig.m1, sig.n1) for s in signatures)
         report.parity_pass = parity_ok(sig, report.case)
         part = interval_partition(cp, ell)
@@ -478,8 +478,9 @@ def test_cross_validate_records_a_missing_condition_only_when_the_exact_verdict_
 
 def test_cross_validate_records_failed_starts(monkeypatch):
     # a start whose tangent line is not found, or whose trace truncates, is
-    # recorded with its stage and leaves the others traced; with no traced
-    # start the numeric gates judge nothing and record no gate
+    # recorded with its stage and leaves the others traced, and fails the
+    # signatures_agree gate; with no traced start the numeric gates judge
+    # nothing and record no gate
     ell = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
     cp = CausticPair(0.75, -3.0, LineType.SPACELIKE, -1)
     tangent_line, real_trace = search.tangent_line_for_caustics, search.trace
@@ -498,8 +499,10 @@ def test_cross_validate_records_failed_starts(monkeypatch):
 
     monkeypatch.setattr(search, "tangent_line_for_caustics", lost_line({1}))
     rep = cross_validate(ell, cp, 4)
-    assert rep.failures == [("tangent line", "seed 1 lost")]
-    assert rep.closure_error <= 1e-9 and rep.signature.n == 4 and rep.signatures_agree
+    assert rep.failures == [("tangent line", "seed 1 lost"),
+                            ("gate", "signatures_agree: False vs True")]
+    assert rep.closure_error <= 1e-9 and rep.signature.n == 4 and not rep.signatures_agree
+    assert not rep.valid
 
     monkeypatch.setattr(search, "tangent_line_for_caustics", lost_line({0, 2}))
     monkeypatch.setattr(search, "trace", truncated)

@@ -1,7 +1,11 @@
 import math
 import random
+from collections import Counter
+from collections.abc import Sequence
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from minkbilliards import (
     CausticCase,
@@ -43,10 +47,12 @@ from minkbilliards.simulator import (
     _lambda3_event_count,
 )
 from conftest import (
+    TROPIC_MARGIN,
     admissible_trace,
     random_direction,
     random_interior_point,
     ref_lambda3_sweep_count,
+    tropic_margin,
 )
 
 
@@ -150,6 +156,35 @@ def test_trace_chasles_and_type_preservation(e421):
             assert classify_direction(b.outgoing, tol=1e-9) is t0
 
 
+_SIGNED_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.tuples(_SIGNED_UNIT, _SIGNED_UNIT, _SIGNED_UNIT), st.floats(0.0, 0.9),
+       st.sampled_from(list(LineType)), st.floats(0.0, 2.0 * math.pi), st.floats(-0.9, 0.9))
+def test_chasles_invariance_property(w, rho, lt, theta, s):
+    # drawn next to the seeded sampler above: a point at relative radius
+    # rho <= 0.9 of (4, 2, 1) and a direction of each line type, away from
+    # the light cone or built on it; every admissible 200-bounce trace keeps
+    # its caustics to 1e-8
+    e421 = Ellipsoid(4.0, 2.0, 1.0)
+    norm = math.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2)
+    assume(norm >= 1e-3)
+    p = Vec3(2.0 * rho * w[0] / norm, math.sqrt(2.0) * rho * w[1] / norm, rho * w[2] / norm)
+    c, sn = math.cos(theta), math.sin(theta)
+    if lt is LineType.SPACELIKE:
+        v = Vec3(c, sn, s)
+    elif lt is LineType.TIMELIKE:
+        v = Vec3(s * c, s * sn, 1.0)
+    else:
+        v = Vec3(c, sn, math.copysign(math.hypot(c, sn), s))
+    assert classify_direction(v) is lt
+    traj = trace(p, v, e421, 200)
+    assume(traj.error is None and len(traj.bounces) == 200)
+    assume(tropic_margin(traj) >= TROPIC_MARGIN)
+    assert chasles_residual(traj) <= 1e-8
+
+
 def test_trace_caustics_per_segment(e421):
     # every segment of a trace touches the same two quadrics
     rng = random.Random(10)
@@ -195,12 +230,12 @@ def test_axial_period_two(e421):
 def _tropic_first_trajectory(e421):
     """Records whose first bounce is a tropic event, so that record 1 is the
     twin of record 0, then one pole bounce and the tropic event again."""
-    from minkbilliards.simulator import BounceRecord, Trajectory
+    from minkbilliards.simulator import Trajectory
     p = tropic_point(e421)
     up = Vec3(0.0, 0.0, 1.0)
-    rec = lambda comp, pt, out: BounceRecord(pt, up, out, comp, 1.0, e421)
+    rec = lambda comp, pt, out: (*pt.as_tuple(), *up.as_tuple(), *out.as_tuple(), comp, 1.0)
     pole_s = Vec3(0, 0, -1)
-    return Trajectory(Vec3(0, 0, 0), up, e421, bounces=[
+    return Trajectory(Vec3(0, 0, 0), up, e421, rows=[
         rec(SurfaceComponent.CAP_NORTH, p, -1.0 * up),
         rec(SurfaceComponent.BELT, p, -1.0 * up),
         rec(SurfaceComponent.CAP_SOUTH, pole_s, up),
@@ -532,6 +567,70 @@ def test_trace_matches_vec3_reference_loop(k):
     assert repr([b.coords for b in traj.bounces]) == repr([r[5] for r in ref])
 
 
+def test_trace_op_builds_no_record_and_no_vec3_per_bounce(monkeypatch):
+    # trace, detect_period and chasles_residual build no BounceRecord, and
+    # as many Vec3 at 200 bounces as at 20; len(traj.bounces) builds neither
+    from minkbilliards import simulator
+    e421 = Ellipsoid(4.0, 2.0, 1.0)
+    seeded = admissible_trace(random.Random(31), e421, LineType.SPACELIKE, 200)
+    ell_x = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
+    cp_x = CausticPair(0.75, -3.0, LineType.SPACELIKE, -1)
+    starts = [(e421, seeded.start_point, seeded.start_direction, None),
+              (ell_x, *tangent_line_for_caustics(ell_x, cp_x, seed=0), PeriodSignature(4, 1, 3, 2))]
+    built = Counter()
+    for cls in (simulator.BounceRecord, simulator.Vec3):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built[_name] += 1
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counting)
+
+    def op(ell, p, v, bounces):
+        built.clear()
+        traj = trace(p, v, ell, bounces)
+        sig = detect_period(traj)
+        chasles_residual(traj)
+        return traj, sig, Counter(built)
+
+    for ell, p, v, want in starts:
+        traj, sig, long_run = op(ell, p, v, 200)
+        _, _, short_run = op(ell, p, v, 20)
+        assert traj.error is None and sig == want
+        assert long_run["BounceRecord"] == 0 and long_run == short_run
+        built.clear()
+        assert len(traj.bounces) == 200 and not built
+    built.clear()
+    list(traj.bounces)
+    assert built["BounceRecord"] == 200
+
+
+def test_bounce_view_reads_the_rows_as_records(e421):
+    # a read-only sequence: len, negative indices and slices as on the list
+    # of records the loop built, and iteration equal to indexing; on a trace,
+    # iteration shares each outgoing Vec3 with the next record's incoming
+    ell, p, v, bounces = _REFERENCE_STARTS[-1]
+    traced = [admissible_trace(random.Random(32), e421, LineType.TIMELIKE, 30),
+              trace(p, v, ell, bounces)]
+    assert traced[1].error.startswith("reflection")
+    for traj in traced + [_tropic_first_trajectory(e421)]:
+        view = traj.bounces
+        assert isinstance(view, Sequence) and not hasattr(view, "append")
+        recs = list(view)
+        by_index = [view[i] for i in range(len(view))]
+        assert len(view) == len(traj.rows) == len(recs)
+        assert recs == by_index and repr(recs) == repr(by_index)
+        assert repr(view[-1]) == repr(recs[-1]) and repr(view[-len(view)]) == repr(recs[0])
+        for cut in (slice(None, -1), slice(1, 4), slice(None, None, -2), slice(4, 1)):
+            assert repr(view[cut]) == repr(recs[cut])
+        with pytest.raises(IndexError):
+            view[len(view)]
+        with pytest.raises(TypeError):
+            view[0] = recs[0]
+    for traj in traced:
+        recs = list(traj.bounces)
+        assert recs[0].incoming == traj.start_direction
+        assert all(b.incoming is a.outgoing for a, b in zip(recs, recs[1:]))
+
+
 def test_reference_starts_cover_every_path():
     kinds = set()
     for ell, p, v, bounces in _REFERENCE_STARTS:
@@ -586,6 +685,25 @@ def test_reflection_keeps_the_product_check():
         reflect_direction(v, n, tol=0.0)
     assert "non-finite component" in str(ref.value)
     assert str(got.value) == str(ref.value)
+
+
+def test_trace_keeps_the_finiteness_checks(monkeypatch, e421):
+    # a non-finite impact point or outgoing direction raises the Vec3
+    # ValueError from trace, as the Vec3 the loop built did; finite
+    # components whose sum overflows pass
+    from minkbilliards import simulator
+    p, v = Vec3(0.1, 0.2, 0.05), Vec3(1.0, 0.3, 0.2)
+    for name, value in (("_impact", (math.inf, 0.0, 0.0, 1.0)),
+                        ("_reflect_at", (1.0, math.nan, 0.0))):
+        with monkeypatch.context() as m:
+            m.setattr(simulator, name, lambda *args, value=value: value)
+            with pytest.raises(ValueError) as got:
+                trace(p, v, e421, 3)
+        with pytest.raises(ValueError) as ref:
+            Vec3(*value[:3])
+        assert str(got.value) == str(ref.value)
+    monkeypatch.setattr(simulator, "_reflect_at", lambda *args: (1e308, 1e308, 0.0))
+    assert trace(p, v, e421, 1).rows[0][6:9] == (1e308, 1e308, 0.0)
 
 
 def _lambda3_events(traj, n: int) -> list[list[float]]:
