@@ -52,7 +52,7 @@ class NoForwardIntersectionError(BilliardError):
 
 
 class UndefinedReflectionError(BilliardError):
-    """Transversal impact at a tropic point; the billiard map does not extend."""
+    """Impact at a tropic point, where the billiard map is not defined."""
 
 
 # -- exact conditions -------------------------------------------------------

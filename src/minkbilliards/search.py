@@ -38,8 +38,11 @@ import numpy as np
 from .conditions import (
     _CASE_KINDS,
     _branches,
+    _check_gamma1_range,
     _deficient_branch,
+    _degenerate_params,
     _start,
+    _without_condition,
     HyperellipticParams,
     cayley_test,
     condition_vector,
@@ -61,6 +64,7 @@ from .confocal import (
 from .errors import (
     BilliardError,
     EmptyRangeError,
+    GammaOutOfRangeError,
     InvalidToleranceError,
     NoConvergenceError,
 )
@@ -360,15 +364,25 @@ def scan_singular_condition(a: tuple[float, float, float], case: CausticCase, n:
     coefficients vanish only at a true root of the degenerate periodicity
     condition, so callers must check the second value (or the exact test)
     before trusting a root.
+
+    The exact side's rules apply in ``conditions._deficient_branch``'s
+    order: the period (``_search_kind``), then the range, whose ends must
+    both lie in the case's gamma1 range (``GammaOutOfRangeError``) and which
+    for the light-like case may not contain a2, then the empty answer where
+    the case has no branch at n or the no-condition rule holds.
     """
     if case not in (CausticCase.DOUBLE, CausticCase.LIGHT):
         raise EmptyRangeError("the 1-D scan applies to the double and light-like cases")
     kind = _search_kind(case, n)
-    if kind is None:
-        return []
     lo, hi = g_range
     if not lo < hi:
         raise EmptyRangeError("empty gamma scan range")
+    params = _degenerate_params(a, lo, case)
+    _check_gamma1_range(a, hi, case)
+    if case is CausticCase.LIGHT and lo < a[1] < hi:
+        raise GammaOutOfRangeError(f"light caustic scan range ({lo}, {hi}) contains a2={a[1]}")
+    if kind is None or _without_condition(params, n):
+        return []
 
     def f1(g: float) -> float:
         return condition_vector(a, kind, n, g, None)[0]
@@ -396,7 +410,7 @@ def scan_singular_condition(a: tuple[float, float, float], case: CausticCase, n:
 
 # -- constructive tangent line --------------------------------------------------
 
-def _tangent_basis(x: Vec3, grad: Vec3) -> tuple[Vec3, Vec3]:
+def _tangent_basis(grad: Vec3) -> tuple[Vec3, Vec3]:
     g = grad.euclid_normalized()
     ref = Vec3(1.0, 0.0, 0.0) if abs(g.x1) < 0.9 else Vec3(0.0, 1.0, 0.0)
     e1 = Vec3(g.x2 * ref.x3 - g.x3 * ref.x2,
@@ -471,9 +485,7 @@ def tangent_line_for_caustics(ell: Ellipsoid, cp: CausticPair,
             continue
         grad = Vec3(2.0 * x.x1 / (ell.a1 - g), 2.0 * x.x2 / (ell.a2 - g),
                     2.0 * x.x3 / (ell.a3 + g))
-        if grad.euclid_norm2() == 0.0:
-            continue
-        e1, e2 = _tangent_basis(x, grad)
+        e1, e2 = _tangent_basis(grad)
         qa = quad_form_tangency(x, e1, target2)
         qc = quad_form_tangency(x, e2, target2)
         qb = (quad_form_tangency(x, e1 + e2, target2) - qa - qc) / 2.0
@@ -484,13 +496,11 @@ def tangent_line_for_caustics(ell: Ellipsoid, cp: CausticPair,
         dirs = []
         for num, den in (((-qb + sq), qa), ((-qb - sq), qa)):
             if abs(den) > 1e-300:
-                t = num / den
-                dirs.append((t * e1 + e2).euclid_normalized() if (t * e1 + e2).euclid_norm2() > 0 else None)
+                # e1, e2 orthonormal: |t e1 + e2|^2 = t^2 + 1
+                dirs.append((num / den * e1 + e2).euclid_normalized())
         if abs(qa) <= 1e-14:
             dirs.append(e1)
         for v in dirs:
-            if v is None:
-                continue
             try:
                 got = line_caustics(x, v, ell)
             except BilliardError:

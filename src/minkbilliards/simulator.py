@@ -1,17 +1,18 @@
-"""Billiard map inside the ellipsoid: segment extension, reflection with
-polar-cap / equatorial-belt / tropic bookkeeping, Chasles residual and
-numeric period detection with winding counts.
+"""Billiard map inside the ellipsoid: segment extension, reflection off the
+polar caps and the equatorial belt, Chasles residual and numeric period
+detection with winding counts.
 
 A bounce on a polar cap is where the first elliptic coordinate vanishes,
-a bounce on the equatorial belt where the second does.  A tropic impact
-(light-like surface normal) only extends the billiard map when the incoming
-direction is itself the normal vector lying in the tangent plane; it then
-reverses the ray and is counted as two reflections, one off a cap and one
-off the belt.  Transversal tropic impacts terminate the trajectory.
+a bounce on the equatorial belt where the second does.  On the tropic curve
+between them the surface normal is light-like and the billiard map is not
+defined, so a tropic impact ends the trajectory.  (The map extends there
+only to a ray along the normal, which lies in the tangent plane: at a
+tropic point p, F(p + s n) = 1 + s^2 sum n_i^2 / a_i > 1 for s != 0, so no
+chord of the table runs along n.)
 
 Each stage of a bounce is a private kernel on plain float triples
-(``_impact``, ``_normal``, ``_component``, ``_reflect_at``); the public
-``Vec3`` functions ``next_impact``, ``surface_normal``,
+(``_impact``, ``_normal``, ``_component`` and ``minkowski._reflect``); the
+public ``Vec3`` functions ``next_impact``, ``surface_normal``,
 ``classify_surface_point`` and ``reflect_at`` wrap them, and ``trace`` runs
 them directly.  A trajectory stores each record as one flat row of floats
 (``Row``) and builds no object per bounce; ``Trajectory.bounces`` is a
@@ -55,6 +56,7 @@ from .errors import (
     BilliardError,
     DegeneratePointError,
     InconsistentConfigurationError,
+    InvalidToleranceError,
     NoForwardIntersectionError,
     UndefinedReflectionError,
     ZeroVectorError,
@@ -62,6 +64,7 @@ from .errors import (
 from .minkowski import LineType, Vec3, _reflect, _unit, classify_direction
 
 TROPIC_TOL = 1e-9
+_TROPIC_IMPACT = "transversal impact on the tropic curve"
 IMPACT_RESIDUAL_TOL = 1e-12
 RETURN_TOL_DEFAULT = 1e-6
 
@@ -188,7 +191,7 @@ def _normal(x1: float, x2: float, x3: float, ell: Ellipsoid) -> tuple[float, flo
     return 2.0 * x1 / ell.a1, 2.0 * x2 / ell.a2, -2.0 * x3 / ell.a3
 
 
-def classify_surface_point(p: Vec3, ell: Ellipsoid, tol: float = TROPIC_TOL) -> SurfaceComponent:
+def classify_surface_point(p: Vec3, ell: Ellipsoid) -> SurfaceComponent:
     """Component of the ellipsoid by the causal character of its normal.
 
     Time-like normal (induced metric Riemannian) means a polar cap, split
@@ -196,13 +199,13 @@ def classify_surface_point(p: Vec3, ell: Ellipsoid, tol: float = TROPIC_TOL) -> 
     equatorial belt; a light-like normal is the tropic curve itself.
     """
     n = surface_normal(p, ell)
-    return _component(n.x1, n.x2, n.x3, p.x3, tol)
+    return _component(n.x1, n.x2, n.x3, p.x3)
 
 
-def _component(n1: float, n2: float, n3: float, x3: float, tol: float) -> SurfaceComponent:
+def _component(n1: float, n2: float, n3: float, x3: float) -> SurfaceComponent:
     """Component at a surface point of height x3 with normal (n1, n2, n3)."""
     nn = n1 * n1 + n2 * n2 - n3 * n3
-    if abs(nn) <= tol * (n1 * n1 + n2 * n2 + n3 * n3):
+    if abs(nn) <= TROPIC_TOL * (n1 * n1 + n2 * n2 + n3 * n3):
         return _TROPIC
     if nn < 0.0:
         return _CAP_NORTH if x3 >= 0.0 else _CAP_SOUTH
@@ -262,39 +265,24 @@ def _impact(p1: float, p2: float, p3: float, v1: float, v2: float, v3: float,
     return p1 + t * v1, p2 + t * v2, p3 + t * v3, t
 
 
-def reflect_at(p: Vec3, v: Vec3, ell: Ellipsoid, tol: float = TROPIC_TOL) -> Vec3:
+def reflect_at(p: Vec3, v: Vec3, ell: Ellipsoid) -> Vec3:
     """Reflected direction at an impact point p on the ellipsoid.
 
-    At tropic points the map extends as v' = -v only for a ray along the
-    (light-like) normal lying in the tangent plane; transversal rays raise
-    UndefinedReflectionError.
+    Raises UndefinedReflectionError at a tropic point, where the normal is
+    light-like and the billiard map is not defined.
     """
     n = surface_normal(p, ell)
-    tropic = _component(n.x1, n.x2, n.x3, p.x3, tol) is _TROPIC
-    return Vec3(*_reflect_at(v.x1, v.x2, v.x3, n.x1, n.x2, n.x3, tropic))
-
-
-def _reflect_at(v1: float, v2: float, v3: float, n1: float, n2: float, n3: float,
-                tropic: bool) -> tuple[float, float, float]:
-    """``reflect_at`` on float triples, given the normal and the tropic test."""
-    if tropic:
-        # tropic: check the orthogonal-vector-in-tangent-plane configuration
-        u1, u2, u3 = _unit(v1, v2, v3)
-        e1, e2, e3 = _unit(n1, n2, n3)
-        cross2 = ((u2 * e3 - u3 * e2) ** 2
-                  + (u3 * e1 - u1 * e3) ** 2
-                  + (u1 * e2 - u2 * e1) ** 2)
-        if cross2 <= 1e-18:
-            return -v1, -v2, -v3
-        raise UndefinedReflectionError("transversal impact on the tropic curve")
-    return _reflect(v1, v2, v3, n1, n2, n3, 0.0)
+    if _component(n.x1, n.x2, n.x3, p.x3) is _TROPIC:
+        raise UndefinedReflectionError(_TROPIC_IMPACT)
+    return Vec3(*_reflect(v.x1, v.x2, v.x3, n.x1, n.x2, n.x3, 0.0))
 
 
 def trace(p: Vec3, v: Vec3, ell: Ellipsoid, max_bounces: int) -> Trajectory:
     """Iterate the billiard map, attaching caustics, case and per-bounce data.
 
-    Stops at max_bounces or at an undefined reflection / degenerate start;
-    partial trajectories carry the failure in ``error``.  A start point
+    Stops at max_bounces, at a degenerate start or at a tropic impact,
+    whose row (incoming direction as outgoing) is the last one; partial
+    trajectories carry the failure in ``error``.  A start point
     outside the ellipsoid raises OutsideDomainError and a negative bounce
     count ValueError.  The loop carries position and direction as floats
     through the stage kernels and appends one ``Row`` per record; a
@@ -328,22 +316,16 @@ def trace(p: Vec3, v: Vec3, ell: Ellipsoid, max_bounces: int) -> Trajectory:
         if not isfinite(p1 + p2 + p3):
             Vec3(p1, p2, p3)    # a non-finite point raises the Vec3 ValueError
         n1, n2, n3 = _normal(p1, p2, p3, ell)
-        comp = _component(n1, n2, n3, p3, TROPIC_TOL)
-        try:
-            o1, o2, o3 = _reflect_at(v1, v2, v3, n1, n2, n3, comp is _TROPIC)
-        except BilliardError as exc:
+        comp = _component(n1, n2, n3, p3)
+        if comp is _TROPIC:
             rows.append((p1, p2, p3, v1, v2, v3, v1, v2, v3, comp, t))
-            traj.error = f"reflection: {exc}"
+            traj.error = f"reflection: {_TROPIC_IMPACT}"
             break
+        # off the tropic |<n, n>| > TROPIC_TOL |n|^2 > 0: _reflect cannot raise
+        o1, o2, o3 = _reflect(v1, v2, v3, n1, n2, n3, 0.0)
         if not isfinite(o1 + o2 + o3):
             Vec3(o1, o2, o3)    # and so does a non-finite outgoing direction
-        if comp is _TROPIC:
-            # counted as two reflections: one off a cap, one off the belt
-            cap = _CAP_NORTH if p3 >= 0.0 else _CAP_SOUTH
-            rows.append((p1, p2, p3, v1, v2, v3, o1, o2, o3, cap, t))
-            rows.append((p1, p2, p3, v1, v2, v3, o1, o2, o3, _BELT, t))
-        else:
-            rows.append((p1, p2, p3, v1, v2, v3, o1, o2, o3, comp, t))
+        rows.append((p1, p2, p3, v1, v2, v3, o1, o2, o3, comp, t))
         v1, v2, v3 = o1, o2, o3
     return traj
 
@@ -435,13 +417,8 @@ def _lambda3_event_count(traj: Trajectory, n: int) -> int:
 
 def _period(traj: Trajectory, tol: float) -> tuple[int, int, int] | None:
     """(n, m1, n1) of ``detect_period``'s signature, without the lam3
-    count; None when the trajectory does not close.
-
-    A record's direction is normalized, and the tropic-twin test run, only
-    where its position already returns.  A twin (the second record of a
-    tropic event) repeats its predecessor, so past index 1 it closes only
-    after its predecessor has; at index 1 the test keeps it from closing
-    against the record it repeats."""
+    count; None when the trajectory does not close.  A record's direction is
+    normalized only where its position already returns."""
     rows = traj.rows
     if traj.error is not None or not rows:
         return None
@@ -452,9 +429,6 @@ def _period(traj: Trajectory, tol: float) -> tuple[int, int, int] | None:
     for n in range(1, len(rows)):
         row = rows[n]
         if math.sqrt((row[0] - x1) ** 2 + (row[1] - x2) ** 2 + (row[2] - x3) ** 2) <= reach:
-            prev = rows[n - 1]
-            if row[0:3] == prev[0:3] and row[6:9] == prev[6:9]:
-                continue
             e1, e2, e3 = _unit(row[6], row[7], row[8])
             if math.sqrt((e1 - d1) ** 2 + (e2 - d2) ** 2 + (e3 - d3) ** 2) <= tol:
                 comps = [r[9] for r in rows[:n]]
@@ -482,11 +456,13 @@ def closure_error_at(traj: Trajectory, n: int) -> float:
 def detect_period(traj: Trajectory, tol: float = RETURN_TOL_DEFAULT) -> PeriodSignature | None:
     """Smallest bounce count with a joint position/direction return.
 
-    Returns the signature (n, m1, n1, n2): cap bounces, belt bounces (tropic
-    events already appear as one of each in the record list) and the number
-    of completed lam3 oscillations over the period.  The period and its
-    bounce counts come from ``_period``; only n2 needs the lam3 event count.
+    Returns the signature (n, m1, n1, n2): cap bounces, belt bounces and the
+    number of completed lam3 oscillations over the period.  The period and
+    its bounce counts come from ``_period``; only n2 needs the lam3 event
+    count.  Raises InvalidToleranceError unless tol is finite and > 0.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidToleranceError(f"tol must be finite and > 0, got {tol}")
     period = _period(traj, tol)
     if period is None:
         return None

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from minkbilliards import (
     CausticCase,
@@ -165,6 +167,29 @@ def test_point_from_elliptic_round_trip(e421):
         q = point_from_elliptic(c, signs, e421)
         worst = max(worst, (p - q).euclid_norm() / max(p.euclid_norm(), 1.0))
     assert worst <= 1e-9
+
+
+_SIGNED_UNIT = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(_SIGNED_UNIT, _SIGNED_UNIT, _SIGNED_UNIT), st.floats(0.0, 1.0))
+def test_point_from_elliptic_round_trip_property(w, rho):
+    # drawn next to the seeded round trip above: a point at relative radius
+    # rho <= 1 of (4, 2, 1), off the coordinate planes (where the octant
+    # signs are ambiguous) and off the degenerate loci, comes back from its
+    # coordinates and signs
+    e421 = Ellipsoid(4.0, 2.0, 1.0)
+    norm = math.sqrt(w[0] ** 2 + w[1] ** 2 + w[2] ** 2)
+    assume(norm >= 1e-3)
+    p = Vec3(2.0 * rho * w[0] / norm, math.sqrt(2.0) * rho * w[1] / norm, rho * w[2] / norm)
+    assume(min(abs(x) for x in p.as_tuple()) >= 1e-6 * e421.scale())
+    try:
+        c = elliptic_coordinates(p, e421)
+    except DegeneratePointError:
+        assume(False)
+    q = point_from_elliptic(c, tuple(1 if x > 0 else -1 for x in p.as_tuple()), e421)
+    assert (p - q).euclid_norm() <= 1e-9 * e421.scale()
 
 
 def test_point_from_elliptic_sign_symmetry(e421):

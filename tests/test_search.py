@@ -34,6 +34,7 @@ from minkbilliards.conditions import HyperellipticParams, cayley_test
 from minkbilliards.errors import (
     BilliardError,
     EmptyRangeError,
+    GammaOutOfRangeError,
     InvalidToleranceError,
     NoConvergenceError,
     ThresholdViolationError,
@@ -521,6 +522,38 @@ def test_cross_validate_names_a_missing_branch(e421, cp, n):
     case = classify_case(cp, e421).value
     assert ("condition", f"case {case} has no condition branch at n={n}") in rep.failures
     assert rep.condition_residual == float("inf") and not rep.valid
+
+
+@pytest.mark.parametrize("a, case, n, g_range, bad", [
+    # the first coefficient changes sign at -3, below the double range
+    # (a2, a1) = (3/2, 6)
+    ((6.0, 1.5, 2.0), CausticCase.DOUBLE, 4, (-10.0, 50.0), -10.0),
+    # across the pole at 0, where the second coefficient is ~4.5e104
+    ((4.0, 2.0, 1.0), CausticCase.LIGHT, 5, (-0.9, 3.9), -0.9),
+    # an infinite end, whose samples are not finite
+    ((4.0, 2.0, 1.0), CausticCase.DOUBLE, 4, (-math.inf, 3.0), -math.inf),
+], ids=["double-root-below-a2", "light-pole-at-0", "double-from-minus-inf"])
+def test_scan_singular_refuses_a_range_outside_the_case(a, case, n, g_range, bad):
+    # both ends of the scan range must lie in the case's gamma1 range, with
+    # the message of the exact side's range check
+    with pytest.raises(GammaOutOfRangeError) as info:
+        scan_singular_condition(a, case, n, g_range)
+    assert str(info.value) == f"gamma1={bad} is not in the {case.value} caustic range"
+
+
+def test_scan_singular_follows_the_exact_order(e421):
+    # the period is checked before the range, and the range before the
+    # empty answer; a light-like range may not contain a2, and an odd
+    # light-like period above a2 has no condition
+    a = (4.0, 2.0, 1.0)
+    with pytest.raises(EmptyRangeError, match="below 3"):
+        scan_singular_condition(a, CausticCase.LIGHT, 2, (-0.9, 3.9))
+    with pytest.raises(GammaOutOfRangeError):
+        scan_singular_condition(a, CausticCase.LIGHT, 4, (-0.9, 1.9))    # no branch at 4
+    with pytest.raises(GammaOutOfRangeError, match="contains a2=2.0"):
+        scan_singular_condition(a, CausticCase.LIGHT, 6, (1.5, 2.5))
+    assert scan_singular_condition(a, CausticCase.LIGHT, 5, (2.05, 3.95)) == []
+    assert not cayley_test(HyperellipticParams(4, 2, 1, 3, None), CausticCase.LIGHT, 5)
 
 
 @pytest.mark.parametrize("n", [-1, 0, 1, 2, 3])

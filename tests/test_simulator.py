@@ -34,6 +34,7 @@ from minkbilliards.errors import (
     BilliardError,
     DegeneratePointError,
     InconsistentConfigurationError,
+    InvalidToleranceError,
     LightLikeNormalError,
     NoForwardIntersectionError,
     UndefinedReflectionError,
@@ -141,9 +142,10 @@ def test_reflect_at_tropic(e421):
     p = tropic_point(e421)
     with pytest.raises(UndefinedReflectionError):
         reflect_at(p, Vec3(1, 0, 0), e421)        # transversal
-    n = surface_normal(p, e421)
-    out = reflect_at(p, n, e421)                  # the extension configuration
-    assert (out + n).euclid_norm() <= 1e-12
+    # along the normal, which lies in the tangent plane: no chord runs
+    # there, and the reflection is not defined either
+    with pytest.raises(UndefinedReflectionError):
+        reflect_at(p, surface_normal(p, e421), e421)
 
 
 def test_trace_chasles_and_type_preservation(e421):
@@ -227,35 +229,6 @@ def test_axial_period_two(e421):
     assert comps == {SurfaceComponent.CAP_NORTH, SurfaceComponent.CAP_SOUTH}
 
 
-def _tropic_first_trajectory(e421):
-    """Records whose first bounce is a tropic event, so that record 1 is the
-    twin of record 0, then one pole bounce and the tropic event again."""
-    from minkbilliards.simulator import Trajectory
-    p = tropic_point(e421)
-    up = Vec3(0.0, 0.0, 1.0)
-    rec = lambda comp, pt, out: (*pt.as_tuple(), *up.as_tuple(), *out.as_tuple(), comp, 1.0)
-    pole_s = Vec3(0, 0, -1)
-    return Trajectory(Vec3(0, 0, 0), up, e421, rows=[
-        rec(SurfaceComponent.CAP_NORTH, p, -1.0 * up),
-        rec(SurfaceComponent.BELT, p, -1.0 * up),
-        rec(SurfaceComponent.CAP_SOUTH, pole_s, up),
-        rec(SurfaceComponent.CAP_NORTH, p, -1.0 * up),
-        rec(SurfaceComponent.BELT, p, -1.0 * up),
-    ])
-
-
-def test_tropic_dual_count_convention(e421):
-    # A tropic event enters the record list as one cap plus one belt record at
-    # the same point, so it contributes 2 to the period and 1 to each of
-    # m1, n1.  (Genuine interior chords never reach the extension parallel to
-    # the in-plane normal -- that ray is tangent -- so the records are built
-    # synthetically here to pin the counting convention.)
-    t = _tropic_first_trajectory(e421)
-    sig = detect_period(t)
-    assert sig is not None
-    assert (sig.n, sig.m1, sig.n1) == (3, 2, 1)
-
-
 def test_tropic_transversal_flags_trajectory(e421):
     p = tropic_point(e421)
     # a chord ending exactly at the tropic point, transversal
@@ -263,6 +236,53 @@ def test_tropic_transversal_flags_trajectory(e421):
     start = Vec3(p.x1 + v.x1, p.x2 + v.x2, p.x3 + v.x3)
     t = trace(start, Vec3(-v.x1, -v.x2, -v.x3), e421, 5)
     assert t.error is not None and "reflection" in t.error
+
+
+def _near_tropic_chords(rng: random.Random, e421, count: int):
+    """Chords from seeded interior points of (4, 2, 1) to points at most
+    1e-7 relative off its tropic curve 5 x3^2 = 1 + x2^2/2,
+    x1^2 = 4 (4 - 3 x2^2)/5, some of them on it to the last bit."""
+    for _ in range(count):
+        x2 = rng.uniform(-1.0, 1.0) * math.sqrt(4.0 / 3.0)
+        x1 = rng.choice((-2.0, 2.0)) * math.sqrt((4.0 - 3.0 * x2 * x2) / 5.0)
+        x3 = rng.choice((-1.0, 1.0)) * math.sqrt((1.0 + x2 * x2 / 2.0) / 5.0)
+        rel = rng.choice((0.0, 1e-13, 1e-10, 1e-7))
+        q = Vec3(x1 * (1.0 + rel * rng.uniform(-1.0, 1.0)), x2 + rel * rng.uniform(-1.0, 1.0),
+                 x3 * (1.0 + rel * rng.uniform(-1.0, 1.0)))
+        s = random_interior_point(rng, e421)
+        yield s, q - s
+
+
+def test_a_tropic_impact_ends_the_trajectory(e421):
+    # one row per reflection: no two consecutive rows share an impact point;
+    # a tropic row is the last one, with the incoming direction as outgoing
+    # and the error of an undefined reflection
+    rng = random.Random(30)
+    trajs = [admissible_trace(rng, e421, lt, 60)
+             for lt in (LineType.SPACELIKE, LineType.TIMELIKE, LineType.LIGHTLIKE)]
+    trajs += [trace(s, v, e421, 8) for s, v in _near_tropic_chords(rng, e421, 400)]
+    ended = 0
+    for traj in trajs:
+        rows = traj.rows
+        assert all(a[0:3] != b[0:3] for a, b in zip(rows, rows[1:]))
+        for i, row in enumerate(rows):
+            if row[9] is SurfaceComponent.TROPIC:
+                assert i == len(rows) - 1 and row[6:9] == row[3:6]
+                assert traj.error.startswith("reflection: ")
+                ended += 1
+    assert 0 < ended < len(trajs) - 3
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_detect_period_refuses_a_tolerance_not_finite_and_positive(tol):
+    # on the exact 4-periodic start a tolerance <= 0 or nan would close
+    # nothing and inf would close at once
+    ell = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
+    p, v = tangent_line_for_caustics(ell, CausticPair(0.75, -3.0, LineType.SPACELIKE, -1))
+    traj = trace(p, v, ell, 12)
+    assert detect_period(traj) == PeriodSignature(4, 1, 3, 2)
+    with pytest.raises(InvalidToleranceError, match="tol must be finite and > 0"):
+        detect_period(traj, tol)
 
 
 def test_lambda_oscillation_turning_points(e421):
@@ -408,12 +428,6 @@ def _ref_reflect_at(p: Vec3, v: Vec3, ell) -> Vec3:
     n = _ref_normal(p, ell)
     nn = mink_dot(n, n)
     if abs(nn) <= TROPIC_TOL * n.euclid_norm2():
-        vn, nnorm = _ref_unit(v), _ref_unit(n)
-        cross2 = ((vn.x2 * nnorm.x3 - vn.x3 * nnorm.x2) ** 2
-                  + (vn.x3 * nnorm.x1 - vn.x1 * nnorm.x3) ** 2
-                  + (vn.x1 * nnorm.x2 - vn.x2 * nnorm.x1) ** 2)
-        if cross2 <= 1e-18:
-            return -v
         raise UndefinedReflectionError("transversal impact on the tropic curve")
     if n.euclid_norm2() == 0.0:
         raise ZeroVectorError("reflection normal is zero")
@@ -454,13 +468,7 @@ def _ref_trace(p: Vec3, v: Vec3, ell, max_bounces: int):
             recs.append((hit, cur_v, cur_v, comp, t, _ref_coords(hit, ell)))
             error = f"reflection: {exc}"
             break
-        coords = _ref_coords(hit, ell)
-        if comp is SurfaceComponent.TROPIC:
-            cap = SurfaceComponent.CAP_NORTH if hit.x3 >= 0.0 else SurfaceComponent.CAP_SOUTH
-            recs.append((hit, cur_v, out, cap, t, coords))
-            recs.append((hit, cur_v, out, SurfaceComponent.BELT, t, coords))
-        else:
-            recs.append((hit, cur_v, out, comp, t, coords))
+        recs.append((hit, cur_v, out, comp, t, _ref_coords(hit, ell)))
         cur_p, cur_v = hit, out
     return recs, error
 
@@ -512,8 +520,6 @@ def _ref_detect_period(traj, tol: float = RETURN_TOL_DEFAULT):
 
     p0, d0 = state(0)
     for n in range(1, len(recs)):
-        if recs[n].point == recs[n - 1].point and recs[n].outgoing == recs[n - 1].outgoing:
-            continue
         pn, dn = state(n)
         dp = math.sqrt((pn.x1 - p0.x1) ** 2 + (pn.x2 - p0.x2) ** 2 + (pn.x3 - p0.x3) ** 2)
         dd = math.sqrt((dn.x1 - d0.x1) ** 2 + (dn.x2 - d0.x2) ** 2 + (dn.x3 - d0.x3) ** 2)
@@ -611,7 +617,7 @@ def test_bounce_view_reads_the_rows_as_records(e421):
     traced = [admissible_trace(random.Random(32), e421, LineType.TIMELIKE, 30),
               trace(p, v, ell, bounces)]
     assert traced[1].error.startswith("reflection")
-    for traj in traced + [_tropic_first_trajectory(e421)]:
+    for traj in traced:
         view = traj.bounces
         assert isinstance(view, Sequence) and not hasattr(view, "append")
         recs = list(view)
@@ -694,7 +700,7 @@ def test_trace_keeps_the_finiteness_checks(monkeypatch, e421):
     from minkbilliards import simulator
     p, v = Vec3(0.1, 0.2, 0.05), Vec3(1.0, 0.3, 0.2)
     for name, value in (("_impact", (math.inf, 0.0, 0.0, 1.0)),
-                        ("_reflect_at", (1.0, math.nan, 0.0))):
+                        ("_reflect", (1.0, math.nan, 0.0))):
         with monkeypatch.context() as m:
             m.setattr(simulator, name, lambda *args, value=value: value)
             with pytest.raises(ValueError) as got:
@@ -702,7 +708,7 @@ def test_trace_keeps_the_finiteness_checks(monkeypatch, e421):
         with pytest.raises(ValueError) as ref:
             Vec3(*value[:3])
         assert str(got.value) == str(ref.value)
-    monkeypatch.setattr(simulator, "_reflect_at", lambda *args: (1e308, 1e308, 0.0))
+    monkeypatch.setattr(simulator, "_reflect", lambda *args: (1e308, 1e308, 0.0))
     assert trace(p, v, e421, 1).rows[0][6:9] == (1e308, 1e308, 0.0)
 
 
@@ -765,23 +771,18 @@ def test_lambda3_sweep_matches_vec3_reference(e421):
 
 
 def _long_traces():
-    """200-bounce admissible traces of each line type, and the synthetic
-    trajectory whose record 1 is a tropic twin, with caustics attached."""
+    """200-bounce admissible traces of each line type."""
     e421 = Ellipsoid(4.0, 2.0, 1.0)
     rng = random.Random(46)
-    trajs = [admissible_trace(rng, e421, lt, 200)
-             for lt in (LineType.SPACELIKE, LineType.TIMELIKE, LineType.LIGHTLIKE)]
-    twin = _tropic_first_trajectory(e421)
-    twin.caustics = line_caustics(twin.bounces[2].point, Vec3(1.0, 0.3, 2.0), e421)
-    return trajs + [twin]
+    return [admissible_trace(rng, e421, lt, 200)
+            for lt in (LineType.SPACELIKE, LineType.TIMELIKE, LineType.LIGHTLIKE)]
 
 
-@pytest.mark.parametrize("traj", _long_traces(), ids=["space", "time", "light", "tropic twin"])
+@pytest.mark.parametrize("traj", _long_traces(), ids=["space", "time", "light"])
 def test_readers_match_the_reference_bit_for_bit(traj):
     # the one-pass Chasles residual and period scan return the reference
     # values; the loose tolerances make the scan close on records far from
-    # the start, and at index 1 only the twin test keeps the tropic event
-    # from closing against itself
+    # the start
     assert repr(chasles_residual(traj)) == repr(_ref_chasles_residual(traj))
     assert chasles_residual(traj) > 0.0
     closed = 0
