@@ -152,8 +152,7 @@ _KINDS: dict[SeriesKind, tuple[tuple[int, ...], tuple[int, ...], int]] = {
 
 def _branch_poly(a, caustics: tuple[int, ...], gammas) -> list:
     a1, a2, a3 = a
-    return normalized_branch_poly([(a1, 1), (a2, 1), (-a3, 1)]
-                                  + [(gammas[i], 1) for i in caustics])
+    return normalized_branch_poly([a1, a2, -a3, *(gammas[i] for i in caustics)])
 
 
 def _divide(coeffs: list, divisors: tuple[int, ...], gammas, order: int) -> list:

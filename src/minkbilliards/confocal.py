@@ -35,13 +35,15 @@ INTERVAL_CHECK_TOL = 1e-8
 
 @dataclass(frozen=True, slots=True)
 class Ellipsoid:
-    """Semi-axis-squared parameters (a1, a2, a3), a1 > a2 > 0, a3 > 0."""
+    """Finite semi-axis-squared parameters (a1, a2, a3), a1 > a2 > 0, a3 > 0."""
 
     a1: float
     a2: float
     a3: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a1) and math.isfinite(self.a2) and math.isfinite(self.a3)):
+            raise ValueError(f"non-finite parameter in {(self.a1, self.a2, self.a3)!r}")
         if not (self.a1 > self.a2 > 0.0 and self.a3 > 0.0):
             raise ValueError(f"need a1 > a2 > 0 and a3 > 0, got {(self.a1, self.a2, self.a3)}")
 
@@ -213,12 +215,7 @@ def _polish_cubic_root(coeffs: tuple[float, float, float, float], x: float) -> f
 
 def require_inside(p: Vec3, ell: Ellipsoid, surface_tol: float = 1e-8) -> None:
     """Raise OutsideDomainError unless p lies inside or on the ellipsoid."""
-    _require_inside(p.x1, p.x2, p.x3, ell, surface_tol)
-
-
-def _require_inside(x1: float, x2: float, x3: float, ell: Ellipsoid, surface_tol: float) -> None:
-    """``require_inside`` on a float triple."""
-    res = ell._residual(x1, x2, x3)
+    res = ell._residual(p.x1, p.x2, p.x3)
     if res > surface_tol:
         raise OutsideDomainError(f"point outside ellipsoid, residual {res:.3e}")
 
@@ -230,18 +227,10 @@ def elliptic_coordinates(p: Vec3, ell: Ellipsoid, *, surface_tol: float = 1e-8) 
     by Newton, and checks the Theorem-type bracketing (one root per interval
     (-a3, 0] / [0, a2) / (a2, a1)).  Points on degenerate loci (coordinate
     planes through a pole of the family, or a tropic collision) raise
-    DegeneratePointError.  The work is done by the float kernel ``_coords``,
-    which the simulator's lam3 event count calls directly.
+    DegeneratePointError.
     """
-    return EllipticCoords(*_coords(p.x1, p.x2, p.x3, ell, surface_tol))
-
-
-def _coords(x1: float, x2: float, x3: float, ell: Ellipsoid,
-            surface_tol: float = 1e-8) -> tuple[float, float, float]:
-    """``elliptic_coordinates`` on a float triple: (lam1, lam2, lam3), with
-    the same arithmetic and the same errors."""
-    _require_inside(x1, x2, x3, ell, surface_tol)
-    coeffs = _confocal_cubic(x1, x2, x3, ell)
+    require_inside(p, ell, surface_tol)
+    coeffs = _confocal_cubic(p.x1, p.x2, p.x3, ell)
     roots = sorted(_polish_cubic_root(coeffs, r) for r in _cubic_roots_trig(*coeffs))
     lam1, lam2, lam3 = roots
 
@@ -255,7 +244,7 @@ def _coords(x1: float, x2: float, x3: float, ell: Ellipsoid,
     if lam2 - lam1 <= tol and abs(lam1) <= math.sqrt(tol * scale):
         raise DegeneratePointError("tropic degeneracy: lam1 = lam2 = 0")
 
-    return lam1, lam2, lam3
+    return EllipticCoords(lam1, lam2, lam3)
 
 
 def point_from_elliptic(coords: EllipticCoords, signs: tuple[int, int, int],

@@ -258,12 +258,18 @@ def find_periodic(spec: SearchSpec) -> list[PeriodicCandidate]:
     most promising cells, all seeds in one batch; converged roots are
     deduplicated, checked for case placement, rationalized, and re-checked
     with the exact rank test.  A scanned search logs its counts at DEBUG.
-    A grid of fewer than 2 points per axis spans no scan range, and a
-    ``refine_tol`` that is not finite and positive accepts no root (or every
-    point): both raise instead of answering with no candidates.
+    A grid of fewer than 2 points per axis spans no scan range, a
+    ``g1_range`` or ``g2_range`` without lo < hi (a NaN end included) clips
+    to nothing, and a ``refine_tol`` that is not finite and positive accepts
+    no root (or every point): all raise instead of answering with no
+    candidates.
     """
     if spec.grid < 2:
         raise EmptyRangeError(f"a grid of {spec.grid} points per axis spans no scan range")
+    for key in ("g1_range", "g2_range"):
+        rng = getattr(spec, key)
+        if rng is not None and not rng[0] < rng[1]:
+            raise EmptyRangeError(f"{key} needs lo < hi, got {tuple(rng)}")
     if not (math.isfinite(spec.refine_tol) and spec.refine_tol > 0):
         raise InvalidToleranceError(f"refine_tol must be finite and > 0, got {spec.refine_tol}")
     ell = Ellipsoid(*spec.ellipsoid)

@@ -222,13 +222,13 @@ def series_div(a: list[Fraction], d: list[Fraction], order: int) -> list[Fractio
     return out
 
 
-def normalized_branch_poly(factors: list[tuple[Fraction, int]]) -> list[Fraction]:
-    """Product of (1 - x/r)^m over (r, m) pairs, as a polynomial.
+def normalized_branch_poly(roots: list[Fraction]) -> list[Fraction]:
+    """Product of (1 - x/r) over the roots r, as a polynomial.
 
     This is P(x)/P(0) for the branch polynomial with the given roots; roots
-    must be nonzero and, for a non-singular curve, pairwise distinct.  The
-    constant term is the first root's own 1, so exact roots give an exact
-    polynomial.
+    must be nonzero and, for a non-singular curve, pairwise distinct (a
+    double root is listed twice).  The constant term is the first root's own
+    1, so exact roots give an exact polynomial.
 
     Each factor 1 + c x, c = -1/r, updates the coefficients by two terms,
     out[k] = poly[k-1] c + poly[k], in the operand order of
@@ -237,15 +237,14 @@ def normalized_branch_poly(factors: list[tuple[Fraction, int]]) -> list[Fraction
     equals the product bit for bit on floats and arrays, and exactly on
     Fractions and ``ModP``.
     """
-    poly = [factors[0][0] ** 0]
+    poly = [roots[0] ** 0]
     zero = poly[0] - poly[0]
-    for root, mult in factors:
+    for root in roots:
         try:
             c = -1 / root
         except ZeroDivisionError:
             raise ZeroGammaError("branch root at 0 is not admissible") from None
-        for _ in range(mult):
-            poly = [poly[0], *(q * c + p for p, q in zip(poly[1:], poly)), zero + poly[-1] * c]
+        poly = [poly[0], *(q * c + p for p, q in zip(poly[1:], poly)), zero + poly[-1] * c]
     return poly
 
 

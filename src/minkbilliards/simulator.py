@@ -26,9 +26,10 @@ and this module is the only one that reads the row layout.
 takes each caustic's residual weights once.  ``_period`` finds the period
 and its bounce counts, normalizing a direction only where the position has
 returned; callers that need n2 for only one of several trajectories use it
-directly.  ``_lambda3_event_count`` gives n2 from the closed-form events of
-each segment (caustic tangencies and coordinate-plane crossings), sampling
-lam3 twice between consecutive events through ``confocal._coords``.
+directly.  ``_lambda3_event_count`` gives n2 by counting the closed-form
+events of each segment at which lam3 turns (tangencies with a caustic and
+coordinate-plane crossings at an end of its motion interval); it solves no
+coordinate cubic.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ from .confocal import (
     CausticPair,
     Ellipsoid,
     EllipticCoords,
-    _coords,
     _residual_weights,
     _tangency,
     _tangency_residual,
     classify_case,
     elliptic_coordinates,
+    interval_partition,
     line_caustics,
     require_inside,
 )
@@ -356,63 +357,37 @@ def chasles_residual(traj: Trajectory) -> float:
 def _lambda3_event_count(traj: Trajectory, n: int) -> int:
     """Completed oscillations of the third elliptic coordinate over one period.
 
-    Along a segment x + t d, t in (0, 1), between consecutive bounces the
-    coordinates are monotone except at two kinds of event: the tangency with
-    a finite caustic Q_gamma at t* = -B/A, with A = sum d_i^2/D_i,
-    B = sum x_i d_i/D_i and D = (a1 - gamma, a2 - gamma, a3 + gamma), and
-    the crossing of a coordinate plane at t = -x_i/d_i.  lam3 is sampled
-    twice inside each sub-interval between the sorted events, through the
-    coordinate kernel ``confocal._coords``, so every turning point is a
-    direction reversal of the samples; one full oscillation is two.
+    lam3 moves in the third motion interval [b2, b3] of
+    ``confocal.interval_partition`` and turns only at its ends.  Along a
+    segment x + t d, t in (0, 1), between consecutive bounces it turns at the
+    tangency with a caustic Q_gamma whose gamma is b2 or b3, at t* = -B/A
+    with A = sum d_i^2/D_i, B = sum x_i d_i/D_i and D = (a1 - gamma,
+    a2 - gamma, a3 + gamma), and at the crossing t = -x_i/d_i of a
+    coordinate plane whose pole (a1 for x1 = 0, a2 for x2 = 0) is b2 or b3;
+    one full oscillation is two turns.  Without a case there are no motion
+    intervals, and on the double caustic lam3 is pinned: both count 0.
     """
-    ell = traj.ellipsoid
-    cp = traj.caustics
-    gammas = () if cp is None else (cp.gamma1, cp.gamma2)
-    # the light-like sentinel gamma2 touches at infinity: no finite event
-    denoms = [(ell.a1 - g, ell.a2 - g, ell.a3 + g) for g in gammas if g is not None]
-    denoms = [dd for dd in denoms if 0.0 not in dd]
+    case = traj.case
+    if case is None or case is CausticCase.DOUBLE:
+        return 0
+    ell, cp = traj.ellipsoid, traj.caustics
+    ends = interval_partition(cp, ell).motion_intervals()[2]
+    denoms = [(ell.a1 - g, ell.a2 - g, ell.a3 + g) for g in (cp.gamma1, cp.gamma2) if g in ends]
+    planes = [i for i, pole in enumerate((ell.a1, ell.a2)) if pole in ends]
     head = traj.rows[:n + 1]
-    vals: list[float] = []
+    turns = 0
     for a, b in zip(head, head[1:]):
         x1, x2, x3 = a[0], a[1], a[2]
         d1, d2, d3 = b[0] - x1, b[1] - x2, b[2] - x3
-        events = [0.0]
         for e1, e2, e3 in denoms:
             aa = d1 * d1 / e1 + d2 * d2 / e2 + d3 * d3 / e3
-            if aa != 0.0:
-                t = -(x1 * d1 / e1 + x2 * d2 / e2 + x3 * d3 / e3) / aa
-                if 0.0 < t < 1.0:
-                    events.append(t)
-        for x, d in ((x1, d1), (x2, d2), (x3, d3)):
-            if d != 0.0:
-                t = -x / d
-                if 0.0 < t < 1.0:
-                    events.append(t)
-        events.sort()
-        events.append(1.0)
-        for lo, hi in zip(events, events[1:]):
-            w = (hi - lo) / 3.0
-            for s in (lo + w, hi - w):
-                try:
-                    vals.append(_coords(x1 + s * d1, x2 + s * d2, x3 + s * d3, ell)[2])
-                except BilliardError:
-                    continue
-    if len(vals) < 3:
-        return 0
-    span = max(vals) - min(vals)
-    if span <= 1e-9 * max(ell.a1, ell.a3):
-        return 0    # lam3 pinned (double caustic: segments on the ruled quadric)
-    reversals = 0
-    prev_sign = 0
-    for i in range(1, len(vals)):
-        d = vals[i] - vals[i - 1]
-        if abs(d) <= 1e-14:
-            continue
-        sgn = 1 if d > 0 else -1
-        if prev_sign != 0 and sgn != prev_sign:
-            reversals += 1
-        prev_sign = sgn
-    return (reversals + 1) // 2
+            if aa != 0.0 and 0.0 < -(x1 * d1 / e1 + x2 * d2 / e2 + x3 * d3 / e3) / aa < 1.0:
+                turns += 1
+        for i in planes:
+            d = b[i] - a[i]
+            if d != 0.0 and 0.0 < -a[i] / d < 1.0:
+                turns += 1
+    return (turns + 1) // 2
 
 
 def _period(traj: Trajectory, tol: float) -> tuple[int, int, int] | None:

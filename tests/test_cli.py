@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -152,6 +153,12 @@ def test_find_periodic_cli(tmp_path, capsys):
     doc = json.loads(out)
     assert len(doc) >= 1
     assert doc[0]["condition_residual"] <= 1e-12
+    # an unbounded range clips nothing
+    spec.write_text(json.dumps({
+        "ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 4, "grid": 24,
+        "g1_range": [-math.inf, math.inf], "g2_range": [-math.inf, math.inf],
+    }))
+    assert run(capsys, "find-periodic", "--spec", str(spec))[1] == out
 
 
 def test_find_periodic_cli_empty(tmp_path, capsys):
@@ -202,10 +209,13 @@ def test_find_periodic_cli_period_below_three(tmp_path, capsys, n):
 
 
 @pytest.mark.parametrize("command", ["find-periodic", "cross-validate"])
-@pytest.mark.parametrize("field", [{"grid": 0}, {"grid": 1}, {"refine_tol": 0}])
+@pytest.mark.parametrize("field", [{"grid": 0}, {"grid": 1}, {"refine_tol": 0},
+                                   {"g1_range": [math.nan, math.nan]},
+                                   {"g2_range": [-0.5, math.nan]}])
 def test_search_cli_refuses_a_degenerate_spec(tmp_path, capsys, command, field):
-    # a grid below 2 points per axis or a refine_tol that is not finite and
-    # positive is a violated precondition, not an empty search
+    # a grid below 2 points per axis, a range without lo < hi (a NaN end,
+    # which max and min would drop) or a refine_tol that is not finite and
+    # positive is a violated precondition, not an empty or unclipped search
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({
         "ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 4, "grid": 8, **field,
@@ -225,10 +235,12 @@ def test_search_cli_refuses_a_degenerate_spec(tmp_path, capsys, command, field):
     {"ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 4.5},
     {"ellipsoid": [4.0, 2.0, 1.0], "case": "S1"},
     [{"ellipsoid": [4.0, 2.0, 1.0], "case": "S1", "n": 4}],
+    {"ellipsoid": [4.0, 2.0, math.inf], "case": "S1", "n": 4},
 ])
 def test_search_cli_refuses_a_malformed_spec(tmp_path, capsys, command, doc):
-    # a spec of the wrong shape is a usage error, never a traceback and never
-    # a search that quietly drops what it cannot read
+    # a spec of the wrong shape, or with a non-finite ellipsoid parameter, is
+    # a usage error, never a traceback and never a search that quietly drops
+    # what it cannot read
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(doc))
     code, out, err = run(capsys, command, "--spec", str(spec))
@@ -286,6 +298,11 @@ def test_trace_rejects_bad_input(capsys):
     code, out, err = run(capsys, "trace", "--ellipsoid", "4,2,1",
                          "--point", "3,0,0", "--dir=-1,0,0.01", "--bounces", "5")
     assert code == 2 and out == "" and "outside ellipsoid" in err
+    # so is a non-finite ellipsoid parameter, which once traced to a JSON
+    # Infinity token and exit 1
+    code, out, err = run(capsys, "trace", "--ellipsoid", "4,2,inf",
+                         "--point", "0.1,0.1,0.1", "--dir", "1,0.3,0.2")
+    assert code == 2 and out == "" and err.startswith("usage error: ") and "finite" in err
     code, out, _ = run(capsys, "trace", "--ellipsoid", "4,2,1",
                        "--point", "0.1,0.2,0.05", "--dir", "1,0.3,0.2", "--bounces", "-5")
     assert code == 2 and out == ""

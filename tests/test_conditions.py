@@ -103,7 +103,7 @@ def test_double_series_limit_matches_divided():
     db = divided_series(base, SeriesKind.DOUBLE_B, dbl)
     # independently: sqrt((a1-x)(a2-x)(a3+x))/ (normalized gamma factor)
     from minkbilliards.series import normalized_branch_poly, series_div, series_sqrt
-    k = normalized_branch_poly([(a[0], 1), (a[1], 1), (-a[2], 1)])
+    k = normalized_branch_poly([a[0], a[1], -a[2]])
     s = series_sqrt(k, 8)
     lin = [F(1), F(-1) / g]
     expect = series_div(s, lin, 8)

@@ -29,7 +29,7 @@ from conftest import rank_by_minors
 
 
 def test_series_sqrt_squares_back():
-    f = normalized_branch_poly([(F(4), 1), (F(2), 1), (F(-1), 1), (F(3, 2), 1), (F(-1, 2), 1)])
+    f = normalized_branch_poly([F(4), F(2), F(-1), F(3, 2), F(-1, 2)])
     order = 12
     s = series_sqrt(f, order)
     assert s[0] == 1
@@ -40,13 +40,13 @@ def test_series_sqrt_squares_back():
 
 
 def test_series_sqrt_first_coefficient_is_half_log_derivative():
-    f = normalized_branch_poly([(F(4), 1), (F(2), 1), (F(-1), 1), (F(3, 2), 1), (F(-1, 2), 1)])
+    f = normalized_branch_poly([F(4), F(2), F(-1), F(3, 2), F(-1, 2)])
     s = series_sqrt(f, 3)
     assert s[1] == f[1] / 2     # P'(0)/(2 P(0)) for the normalized polynomial
 
 
 def test_series_div_inverse():
-    f = normalized_branch_poly([(F(4), 1), (F(2), 1), (F(-1), 1)])
+    f = normalized_branch_poly([F(4), F(2), F(-1)])
     d = [F(1), F(-2, 3)]
     q = series_div(list(f), d, 10)
     back = poly_mul_frac(q, d)[:11]
@@ -120,12 +120,11 @@ def test_poly_mul_frac():
     assert poly_mul_frac(a, b) == [F(3), F(6), F(1), F(2)]
 
 
-def _branch_poly_by_products(factors):
+def _branch_poly_by_products(roots):
     """normalized_branch_poly as the general product by each linear factor."""
-    poly = [factors[0][0] ** 0]
-    for root, mult in factors:
-        for _ in range(mult):
-            poly = poly_mul_frac(poly, [1, -1 / root])
+    poly = [roots[0] ** 0]
+    for root in roots:
+        poly = poly_mul_frac(poly, [1, -1 / root])
     return poly
 
 
@@ -134,23 +133,23 @@ def test_normalized_branch_poly_equals_the_general_product(seed):
     # the two-term update per factor gives the product's coefficients:
     # exactly on Fractions and residues, bit for bit on floats and arrays;
     # each root list has a pair r, -r, whose product cancels a coefficient
-    # to an exact zero, and one double root
+    # to an exact zero, and one root three times (twice in a row)
     import numpy as np
 
     rng = random.Random(seed)
     roots = [F(rng.choice((-1, 1)) * rng.randint(1, 40), rng.randint(1, 9)) for _ in range(4)]
     roots.append(-roots[0])
-    factors = [(r, 1) for r in roots] + [(roots[1], 2)]
-    rng.shuffle(factors)
+    pairs = [(r, 1) for r in roots] + [(roots[1], 2)]
+    rng.shuffle(pairs)
+    factors = [r for r, mult in pairs for _ in range(mult)]
     for number in (F, ModP):
-        fs = [(number(r), m) for r, m in factors]
+        fs = [number(r) for r in factors]
         assert normalized_branch_poly(fs) == _branch_poly_by_products(fs)
-    fs = [(float(r), m) for r, m in factors]
+    fs = [float(r) for r in factors]
     got, ref = normalized_branch_poly(fs), _branch_poly_by_products(fs)
     assert np.array(got).tobytes() == np.array(ref).tobytes()
     # arrays: one column per grid point, with the exact roots in column 0
-    grid = [(np.array([float(r), *(rng.uniform(-9.0, 9.0) for _ in range(7))]), m)
-            for r, m in factors]
+    grid = [np.array([float(r), *(rng.uniform(-9.0, 9.0) for _ in range(7))]) for r in factors]
     got, ref = normalized_branch_poly(grid), _branch_poly_by_products(grid)
     assert len(got) == len(ref)
     assert all(np.asarray(g).tobytes() == np.asarray(r).tobytes() for g, r in zip(got, ref))
@@ -165,7 +164,7 @@ def test_generic_kernel_stays_exact():
         series_sqrt([F(1), F(-2, 5)], 7),
         series_div([F(3, 2)], [F(1), F(-2, 3)], 4),
         series_div([F(1), F(1, 7)], [1, F(5)], 6),
-        normalized_branch_poly([(F(4), 1), (F(-1), 2)]),
+        normalized_branch_poly([F(4), F(-1), F(-1)]),
     ]
     # int-valued parameters are read as rationals
     for p in (HyperellipticParams(4, 2, 1, F(3, 2), F(-1, 2)),

@@ -747,27 +747,38 @@ def _events_apart(traj, n: int, gap: float) -> bool:
 DENSE_SAMPLES = 2048    # two samples inside any sub-interval of width >= 1e-3
 
 
-def test_lambda3_sweep_matches_vec3_reference(e421):
-    # the event count equals the Vec3 sweep at a dense sample count on
-    # non-periodic traces of every line type and on the starts of the
-    # reference loop (axial and tropic ones included), over 4 bounces or to
-    # past the end of a shorter trace, wherever the events lie >= 1e-3 apart
-    # and from the segment ends, so that the dense sweep sees every turning
-    # point; the counts themselves cover prefixes up to past the end
-    rng = random.Random(44)
-    trajs = [admissible_trace(rng, e421, lt, 40)
-             for lt in (LineType.SPACELIKE, LineType.TIMELIKE, LineType.LIGHTLIKE)
-             for _ in range(2)]
-    trajs += [trace(p, v, ell, bounces) for ell, p, v, bounces in _REFERENCE_STARTS]
-    counts, compared = set(), 0
-    for traj in trajs:
-        for n in (0, 1, 2, 5, 13, 30, len(traj.bounces) + 3):
-            counts.add(_lambda3_event_count(traj, n))
-        if traj.caustics is not None and _events_apart(traj, 4, 1e-3):
-            got = _lambda3_event_count(traj, 4)
-            assert got == ref_lambda3_sweep_count(traj, 4, DENSE_SAMPLES), traj.start_point
-            compared += 1
-    assert len(counts) > 5 and compared > 25
+# (table, random starts per line type, compared traces to exceed); lam3's
+# interval [b2, b3] ends at other parameters on the last three tables
+_ORACLE_TABLES = [((4.0, 2.0, 1.0), 2, 25), ((3.0, 1.0, 2.0), 6, 12),
+                  ((1.0, 6.0 / 7.0, 6.0), 6, 12), ((2.0, 1.9, 0.1), 6, 12)]
+
+
+def test_lambda3_sweep_matches_vec3_reference():
+    # on each table, the event count equals the Vec3 sweep at a dense sample
+    # count on non-periodic traces of every line type (and, on (4, 2, 1), on
+    # the starts of the reference loop, axial and tropic ones included), over
+    # 4 bounces or to past the end of a shorter trace, wherever the events
+    # lie >= 1e-3 apart and from the segment ends, so that the dense sweep
+    # sees every turning point; the counts themselves cover prefixes up to
+    # past the end, and the compared traces at least five caustic cases
+    for a, per_type, least in _ORACLE_TABLES:
+        ell = Ellipsoid(*a)
+        rng = random.Random(44)
+        trajs = [admissible_trace(rng, ell, lt, 40)
+                 for lt in (LineType.SPACELIKE, LineType.TIMELIKE, LineType.LIGHTLIKE)
+                 for _ in range(per_type)]
+        if a == (4.0, 2.0, 1.0):
+            trajs += [trace(p, v, e, bounces) for e, p, v, bounces in _REFERENCE_STARTS]
+        counts, cases, compared = set(), set(), 0
+        for traj in trajs:
+            for n in (0, 1, 2, 5, 13, 30, len(traj.bounces) + 3):
+                counts.add(_lambda3_event_count(traj, n))
+            if traj.caustics is not None and _events_apart(traj, 4, 1e-3):
+                got = _lambda3_event_count(traj, 4)
+                assert got == ref_lambda3_sweep_count(traj, 4, DENSE_SAMPLES), (a, traj.start_point)
+                cases.add(traj.case)
+                compared += 1
+        assert len(counts) > 5 and compared > least and len(cases) >= 5, a
 
 
 def _long_traces():
