@@ -143,7 +143,11 @@ def _load_search_spec(path: str):
     def number(x, key: str, kind=float):
         if isinstance(x, bool) or not isinstance(x, (int, kind)):
             raise ValueError(f"spec key {key!r} needs {kind.__name__} values, got {d.get(key)!r}")
-        return x
+        try:
+            value = float(x)
+        except OverflowError:
+            raise ValueError(f"spec key {key!r} holds a number too large for a float") from None
+        return value if kind is float else x
 
     def numbers(key: str, count: int):
         value = d.get(key)
@@ -158,7 +162,7 @@ def _load_search_spec(path: str):
         g1_range=None if d.get("g1_range") is None else numbers("g1_range", 2),
         g2_range=None if d.get("g2_range") is None else numbers("g2_range", 2),
         grid=number(d.get("grid", 48), "grid", int),
-        refine_tol=float(number(d.get("refine_tol", 1e-13), "refine_tol")),
+        refine_tol=number(d.get("refine_tol", 1e-13), "refine_tol"),
     )
 
 

@@ -281,22 +281,25 @@ def _certified(deficient):
 
 
 def condition_vector(a, kind: SeriesKind, n: int, g1, g2) -> list:
-    """The coefficients s and s + 1 of the kind's series, whose joint
-    vanishing is its condition at n = s + 2, where its block is 2 x 1: (B2,
-    B3) at n = 4, (C3, C4) at n = 5, (A4, A5) at n = 6.  ``a`` is the
-    ellipsoid triple and ``g2`` is None for the double and light-like kinds.
-    This is the one evaluator of the conditions for every number type:
-    Fractions give the exact coefficients, floats the residuals that Newton
-    refinement and cross-validation use, and numpy arrays of caustic
-    parameters the values over a whole search grid in one call.  The series
-    is built through order s + 1, which at n = s + 2 is ``_required_order(n)``
-    = n - 1 too, so the pair is the block's own entries.
+    """The coefficients s, ..., n - 1 of the kind's series: the entries of
+    its r x (r-1) Hankel block at period n, whose rank deficiency is the
+    kind's condition there.  At n = s + 2 the block is 2 x 1 and the vector
+    is the pair that must vanish: (B2, B3) at n = 4, (C3, C4) at n = 5, (A4,
+    A5) at n = 6.  ``a`` is the ellipsoid triple and ``g2`` is None for the
+    double and light-like kinds.  This is the one evaluator of the
+    conditions for every number type: Fractions give the exact
+    coefficients, floats the ones that Newton refinement and the residuals
+    of ``search`` read, and numpy arrays of caustic parameters the values
+    over a whole search grid in one call.  The series is built through
+    ``_required_order(n)``, as the exact test builds it.  A period at which
+    the kind is no branch has no block and raises ``ValueError``.
     """
+    if not _is_branch(kind, n):
+        raise ValueError(f"{kind.value} is no condition branch at n={n}")
     caustics, divisors, first = _KINDS[kind]
-    order = first + 1
+    order = _required_order(n)
     s = series_sqrt(_branch_poly(a, caustics, (g1, g2)), order)
-    s = _divide(s, divisors, (g1, g2), order)
-    return [s[first], s[first + 1]]
+    return _divide(s, divisors, (g1, g2), order)[first:]
 
 
 # Views of the table under the names the benchmark's per-layer replay

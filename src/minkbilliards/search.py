@@ -1,14 +1,15 @@
 """Parameter search for periodic configurations and the cross-validation
 pipeline tying the numeric simulator to the exact conditions engine.
 
-Periodicity at fixed period n pins both caustic parameters: on a branch
-whose block is 2 x 1 (n = s + 2) the rank condition is two named series
-coefficients, so the search is a grid scan plus damped 2-D Newton on the
-condition vector.  Roots are generically irrational; candidates carry the
-float root, its bounded-denominator rationalization, the exact rank-test
-verdict at the rationalized point (almost always false, since the exact
-conditions hold only at the algebraic root) and the float condition
-residual that the validation report uses instead.
+Periodicity at period n is one condition per branch of the case, a rank-
+deficient r x (r-1) Hankel block, measured on floats by the block's
+smallest singular value (``_residual``).  At n = s + 2 the block is 2 x 1,
+its two named coefficients pin both caustic parameters, and the search is a
+grid scan plus damped 2-D Newton on that pair.  Roots are generically
+irrational; candidates carry the float root, its bounded-denominator
+rationalization, the exact rank-test verdict at the rationalized point
+(almost always false, since the exact conditions hold only at the algebraic
+root) and the residual that the validation report uses instead.
 
 The conditions have one evaluator, ``conditions.condition_vector``: the exact
 engine's series kernel run on other number types.  The grid scan passes
@@ -103,23 +104,34 @@ def _scan_rect(intervals):
 _CASE_RECTS = {case: _scan_rect(intervals) for case, (_, intervals) in _CASE_INTERVALS.items()}
 
 
-def _float_branches(case: CausticCase, n: int) -> tuple[SeriesKind, ...]:
-    """The case's branches at n whose block is 2 x 1 (n = s + 2), in table
-    order: their condition is the pair ``condition_vector`` returns.  Empty
-    where no branch at n has a 2 x 1 block; EmptyRangeError below n = 3."""
+def _check_period(n: int) -> None:
     if n < 3:
         raise EmptyRangeError(f"period n={n} is below 3, where no periodicity condition applies")
-    return tuple(kind for kind in _branches(case, n) if n == _start(kind) + 2)
 
 
 def _search_kind(case: CausticCase, n: int) -> SeriesKind | None:
-    """The branch searched at (case, n): the first of ``_float_branches``.
-    None without a branch at n; EmptyRangeError below n = 3, or where every
-    branch at n has a larger block."""
-    kinds = _float_branches(case, n)
-    if not kinds and _branches(case, n):
+    """The branch searched at (case, n): the first of the case's branches at
+    n whose block is 2 x 1 (n = s + 2).  None without a branch at n;
+    EmptyRangeError below n = 3, or where every branch at n has a larger
+    block."""
+    _check_period(n)
+    kinds = _branches(case, n)
+    kind = next((k for k in kinds if n == _start(k) + 2), None)
+    if kind is None and kinds:
         raise EmptyRangeError(f"period n={n} is not supported by the condition search (use 4, 5 or 6)")
-    return next(iter(kinds), None)
+    return kind
+
+
+def _residual(coeffs) -> float:
+    """Smallest singular value of the r x (r-1) Hankel block of the
+    coefficients s, ..., n - 1 of ``condition_vector``, or inf where one is
+    not finite.  Taken by SVD, not from the Gram matrix, whose eigenvalues
+    square the conditioning."""
+    c = np.array(coeffs, dtype=float)
+    if not np.isfinite(c).all():
+        return math.inf
+    r = len(c) // 2 + 1
+    return float(np.linalg.svd(c[np.add.outer(range(r), range(r - 1))], compute_uv=False)[-1])
 
 
 @dataclass(frozen=True)
@@ -350,13 +362,13 @@ def _refine_candidates(spec: SearchSpec, kind: SeriesKind,
 
     out = []
     for (g1, g2) in sorted(roots):
-        f1, f2 = condition_vector(a, kind, n, g1, g2)
+        residual = _residual(condition_vector(a, kind, n, g1, g2))
         params = HyperellipticParams.from_floats(*a, g1, g2)
         try:
             exact = cayley_test(params, case, n)
         except (BilliardError, ValueError):
             exact = False
-        out.append(PeriodicCandidate(g1, g2, case, n, abs(f1) + abs(f2), params, exact))
+        out.append(PeriodicCandidate(g1, g2, case, n, residual, params, exact))
     return out, counts
 
 
@@ -614,17 +626,18 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int) -> ValidationReport:
     The exact verdict names the deficient branch of the case at n, if any;
     only then is Pell solved, once, for that branch's variant, so the
     certificate is the nullspace of the deficient branch's Hankel block.
-    The condition residual is the smallest |f1| + |f2| over the case's
-    branches at n with a 2 x 1 block (``_float_branches``); without one, the
-    missing condition is a failure only when the exact verdict fails.
-    All three starts must close and give the same (n, m1, n1), so a start
-    whose tangent line or trace fails fails the ``signatures_agree`` gate;
+    The condition residual is the smallest ``_residual`` over the case's
+    branches at n, the blocks the exact verdict ranks; a case with no branch
+    at n records a ``condition`` failure.  All three starts must close and
+    give the same (n, m1, n1), so a start whose tangent line or trace fails
+    fails the ``signatures_agree`` gate;
     the report's signature is the first closed start's, and its lam3
     oscillation count n2 is counted on that start alone, once per report.
     Each gate of ``ValidationReport.gates`` that fails is recorded as stage
     ``gate``."""
     case = classify_case(cp, ell)
-    kinds = _float_branches(case, n)
+    _check_period(n)
+    kinds = _branches(case, n)
     g2 = cp.gamma1 if cp.is_double else cp.gamma2    # snap the double caustic
     params = HyperellipticParams.from_floats(ell.a1, ell.a2, ell.a3, cp.gamma1, g2)
     report = ValidationReport((ell.a1, ell.a2, ell.a3), case, n, cp.gamma1, g2)
@@ -638,9 +651,10 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int) -> ValidationReport:
     report.cayley_pass = branch is not None
     try:
         if kinds:
-            vectors = (condition_vector(report.ellipsoid, kind, n, cp.gamma1, g2) for kind in kinds)
-            report.condition_residual = min(abs(f1) + abs(f2) for f1, f2 in vectors)
-        elif not report.cayley_pass and _search_kind(case, n) is None:
+            report.condition_residual = min(
+                _residual(condition_vector(report.ellipsoid, kind, n, cp.gamma1, g2))
+                for kind in kinds)
+        else:
             report.fail("condition", f"case {case.value} has no condition branch at n={n}")
     except (BilliardError, ValueError, ZeroDivisionError) as exc:
         report.fail("condition", exc)

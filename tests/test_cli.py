@@ -248,6 +248,19 @@ def test_search_cli_refuses_a_malformed_spec(tmp_path, capsys, command, doc):
     assert err.startswith("usage error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["find-periodic", "cross-validate"])
+@pytest.mark.parametrize("key,value", [("ellipsoid", [10 ** 400, 2, 1]), ("refine_tol", 10 ** 400),
+                                       ("g1_range", [0, 10 ** 400]), ("grid", 10 ** 400)])
+def test_search_cli_refuses_a_number_too_large_for_a_float(tmp_path, capsys, command, key, value):
+    # JSON integers have no bound: one that no float holds is a usage error
+    # naming its key, not an OverflowError traceback
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"ellipsoid": [4, 2, 1], "case": "S1", "n": 4, key: value}))
+    code, out, err = run(capsys, command, "--spec", str(spec))
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and repr(key) in err and "Traceback" not in err
+
+
 def test_cross_validate_cli(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({

@@ -340,13 +340,13 @@ def test_adaptive_gauss_legendre_panel_cap_raises():
 
 
 def _full_order_condition_vector(a, kind, n, g1, g2):
-    """The condition vector read off the series built through order n + 2,
-    as the exact engine once built it: longer than ``_required_order(n)``."""
+    """The coefficients s, ..., n - 1 read off the series built through
+    order n + 2: longer than ``_required_order(n)``."""
     caustics, divisors, first = conditions._KINDS[kind]
     order = n + 2
     s = series_sqrt(conditions._branch_poly(a, caustics, (g1, g2)), order)
     s = conditions._divide(s, divisors, (g1, g2), order)
-    return [s[first], s[first + 1]]
+    return s[first:n]
 
 
 # per kind: a period that reads it and caustic parameters on (4, 2, 1),
@@ -365,13 +365,18 @@ _KIND_POINTS = [
 
 @pytest.mark.parametrize("kind,n,g1,g2", _KIND_POINTS)
 def test_condition_vector_equals_full_order_series(kind, n, g1, g2):
-    # the two coefficients depend only on lower-order ones, so the series
-    # built through the second of them gives the same values: equal
-    # Fractions, and the same bits on float scalars and grid arrays
+    # the block's coefficients depend only on lower-order ones, so the series
+    # built through the last of them gives the same values as a longer one:
+    # equal Fractions at the 2 x 1 block (m = n) and the 3 x 2 block
+    # (m = n + 2), and the same bits on float scalars and grid arrays
     a = (F(4), F(2), F(1))
     for m in (n, n + 2):
         assert (condition_vector(a, kind, m, g1, g2)
                 == _full_order_condition_vector(a, kind, m, g1, g2))
+    # no block, no vector: the wrong parity, or below the kind's threshold
+    for m in (n + 1, n - 2):
+        with pytest.raises(ValueError, match=f"no condition branch at n={m}"):
+            condition_vector(a, kind, m, g1, g2)
     af = (4.0, 2.0, 1.0)
     g2f = None if g2 is None else float(g2)
     got = condition_vector(af, kind, n, float(g1), g2f)

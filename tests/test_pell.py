@@ -5,6 +5,8 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minkbilliards import (
     HyperellipticParams,
@@ -98,6 +100,29 @@ def _rational_pairs(case, rng, count):
         if _placed(case, F(4), F(2), F(1), g1, g2):
             out.append(HyperellipticParams(F(4), F(2), F(1), g1, g2))
     return out
+
+
+# the suite's exact sets with a generic variant and the period it certifies
+_EXACT_SOLVES = [(EXACT_S1_N4, 4, PellVariant.EVEN_B), (EXACT_S1_N4, 8, PellVariant.EVEN_A),
+                 (EXACT_N6, 6, PellVariant.EVEN_A), (EXACT_S2_N5, 5, PellVariant.ODD_C)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(_EXACT_SOLVES),
+       st.fractions(min_value=F(1, 50), max_value=50, max_denominator=60))
+def test_compose_pell_verifies_on_scaled_exact_sets(solve, t):
+    # scaling a and gamma together by t > 0 scales coefficient k of every
+    # normalized series by t^-k, which keeps each block's rank: the scaled
+    # set solves its variant, and the composition verifies at period 2n
+    # with degrees (n, n - 3)
+    params, n, variant = solve
+    scaled = HyperellipticParams(*(t * x for x in (params.a1, params.a2, params.a3,
+                                                   params.gamma1, params.gamma2)))
+    sol = solve_pell(scaled, n, variant)
+    assert sol is not None and verify_pell(sol)
+    comp = compose_pell(sol)
+    assert comp.n == 2 * n and (comp.p.degree, comp.q.degree) == (n, n - 3)
+    assert verify_pell(comp)
 
 
 def test_equivalence_solve_iff_rank():

@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import random
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from minkbilliards import (
     SearchSpec,
     chasles_residual,
     classify_case,
+    condition_vector,
     cross_validate,
     darboux_integrals,
     detect_period,
@@ -437,13 +439,34 @@ def test_grid_scan_matches_pointwise(monkeypatch):
 
 
 def test_cross_validate_reports_condition_stage(e421):
-    # the float condition search covers n = 4, 5, 6 only; at n=8 the
-    # residual stays unknown and the report names the stage that failed
+    # at n = 8 the S1 branches A and B have 3 x 2 and 4 x 3 blocks: the
+    # residual is the smallest singular value over both, here the one of the
+    # blocks of the exact coefficients, so the conditions gate fails and no
+    # condition stage is recorded
     cp = CausticPair(1.0, -0.5, LineType.SPACELIKE, -1)
     rep = cross_validate(e421, cp, 8)
-    assert rep.condition_residual == float("inf")
-    assert rep.failure_stage is not None and rep.failure_stage.startswith("condition: ")
+
+    def sigma_min(kind):
+        c = [float(x) for x in condition_vector((F(4), F(2), F(1)), kind, 8, F(1), F(-1, 2))]
+        r = len(c) // 2 + 1
+        block = [[c[i + j] for j in range(r - 1)] for i in range(r)]
+        return np.linalg.svd(np.array(block), compute_uv=False)[-1]
+
+    assert rep.condition_residual == pytest.approx(
+        min(sigma_min(SeriesKind.A), sigma_min(SeriesKind.B)), rel=1e-12)
+    assert rep.condition_residual > 0.05
+    assert rep.failures[0] == ("gate", f"conditions: {rep.condition_residual} vs 1e-09")
+    assert all(stage != "condition" for stage, _ in rep.failures)
     assert not rep.valid
+
+
+def test_residual_is_the_smallest_singular_value_of_the_block():
+    # a 2 x 1 block reads its 2-norm; the 4 x 3 block of a geometric
+    # sequence has rank 1; a non-finite coefficient has no residual
+    assert search._residual([3.0, -4.0]) == 5.0
+    assert search._residual([2.0 ** k for k in range(6)]) <= 1e-14
+    assert search._residual([1.0, 0.0, 0.0, 0.0, 1.0, 0.0]) == 1.0
+    assert search._residual([1.0, math.nan]) == search._residual([math.inf, 0.0]) == math.inf
 
 
 def test_cross_validate_keeps_every_failed_stage(e421, monkeypatch):
@@ -464,17 +487,20 @@ def test_cross_validate_keeps_every_failed_stage(e421, monkeypatch):
 
 
 def test_cross_validate_records_a_missing_condition_only_when_the_exact_verdict_fails(e421):
-    # the S1 set (1, 6/7, 6), (3/4, -3) has no 2 x 1 branch at n = 8 or 12,
-    # but its exact verdict holds and passes the conditions gate alone: the
-    # report reads valid with no failure.  On (4, 2, 1) the verdict fails at
-    # n = 8, and the missing condition is the recorded reason
+    # the S1 set (1, 6/7, 6), (3/4, -3) is periodic at n = 8 and 12, where
+    # its blocks are larger than 2 x 1: the exact verdict holds, the float
+    # residual reads the deficient block at rounding level, and the report
+    # reads valid with no failure.  At n = 3 S1 has no branch, the verdict
+    # fails, and the missing condition is the recorded reason
     ell = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
+    cp = CausticPair(0.75, -3.0, LineType.SPACELIKE, -1)
     for n in (8, 12):
-        rep = cross_validate(ell, CausticPair(0.75, -3.0, LineType.SPACELIKE, -1), n)
-        assert rep.cayley_pass and rep.condition_residual == math.inf
+        rep = cross_validate(ell, cp, n)
+        assert rep.cayley_pass and rep.condition_residual <= 1e-14
         assert rep.valid and rep.failures == [] and rep.failure_stage is None
-    rep = cross_validate(e421, CausticPair(1.0, -0.5, LineType.SPACELIKE, -1), 8)
-    assert not rep.valid and rep.failure_stage.startswith("condition: ")
+    rep = cross_validate(ell, cp, 3)
+    assert not rep.cayley_pass and rep.condition_residual == math.inf and not rep.valid
+    assert rep.failures == [("condition", "case S1 has no condition branch at n=3")]
 
 
 def test_cross_validate_records_failed_starts(monkeypatch):
@@ -588,18 +614,48 @@ def test_closure_below_one_bounce_is_infinite(e421):
     assert math.isfinite(closure_error_at(traj, 1))
 
 
-@pytest.mark.parametrize("g1,g2,n", [(1.925821435, -0.703266336, 6)])
+@pytest.mark.parametrize("g1,g2,n", [(1.0, -0.5, 8)])
 def test_cross_validate_records_every_failed_gate(e421, g1, g2, n):
-    # an S1 root of the B branch at n = 6, whose block is 3 x 2 and has no
-    # float condition: every stage runs, the A residual misses its bound,
-    # and the report says so
+    # an S1 pair that is not periodic at n = 8 and whose starts close at no
+    # period: every stage runs, all six gates fail, and the report records
+    # each of them in gate order
     rep = cross_validate(e421, CausticPair(g1, g2, LineType.SPACELIKE, -1), n)
     assert not rep.valid
-    assert rep.closure_error <= search.CLOSURE_TOL and rep.signature.n == n
-    assert rep.failures == [("gate", f"conditions: {rep.condition_residual} vs 1e-09")]
-    assert rep.condition_residual > 0.1
-    assert [name for name, *_, passed in rep.gates() if not passed] == ["conditions"]
-    assert rep.to_json_dict()["failures"] == [{"stage": "gate", "error": rep.failures[0][1]}]
+    assert [name for name, *_, passed in rep.gates() if not passed] == [
+        "conditions", "closure", "signature", "parity", "signatures_agree", "darboux"]
+    assert rep.failures == [("gate", f"{name}: {value} vs {bound}")
+                            for name, value, bound, _ in rep.gates()]
+    assert rep.to_json_dict()["failures"] == [{"stage": "gate", "error": error}
+                                              for _, error in rep.failures]
+
+
+# S1 roots on (4, 2, 1) whose branch block is 3 x 2: B at n = 6, C and D at
+# n = 7 (the last D root lies 2.8e-6 from the gamma2 = -a3 edge)
+_LARGER_BLOCK_ROOTS = [
+    (1.0235135991298971, -0.9993785624362365, 6),
+    (1.9258214354947611, -0.7032663355905583, 6),
+    (1.9963954083682, -0.9999893470990707, 6),
+    (1.0963481616653419, -0.9531580856363109, 7),
+    (1.9341435592353509, -0.5431486910967038, 7),
+    (1.9972460835802306, -0.9931846734646187, 7),
+    (0.7643364201537943, -0.9996166127608759, 7),
+    (1.519573799137701, -0.7803381276812918, 7),
+    (1.873580081284757, -0.9999971713475146, 7),
+]
+
+
+@pytest.mark.parametrize("g1,g2,n", _LARGER_BLOCK_ROOTS)
+def test_cross_validate_judges_roots_of_larger_blocks(e421, g1, g2, n):
+    # the residual reads the block the exact test ranks at every branch, so
+    # a root of a 3 x 2 block reads valid, and moving gamma1 by 1e-4 of
+    # itself fails the conditions gate
+    rep = cross_validate(e421, CausticPair(g1, g2, LineType.SPACELIKE, -1), n)
+    assert rep.valid and rep.failures == []
+    assert rep.condition_residual <= search.SEARCH_RESIDUAL_TOL
+    off = cross_validate(e421, CausticPair(g1 * (1 + 1e-4), g2, LineType.SPACELIKE, -1), n)
+    assert not off.valid
+    assert "conditions" in [name for name, *_, passed in off.gates() if not passed]
+    assert ("gate", f"conditions: {off.condition_residual} vs 1e-09") in off.failures
 
 
 def test_cross_validate_residual_covers_every_branch_at_n(e421):

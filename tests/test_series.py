@@ -7,6 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from minkbilliards import HyperellipticParams, condition_vector, divided_series, sqrt_series
+from minkbilliards.conditions import _start
 from minkbilliards.errors import InsufficientOrderError
 from minkbilliards.series import (
     MODULUS,
@@ -176,7 +177,8 @@ def test_generic_kernel_stays_exact():
                  SeriesKind.DOUBLE_A: (SeriesKind.DOUBLE_A, SeriesKind.DOUBLE_B),
                  SeriesKind.LIGHT_A: (SeriesKind.LIGHT_A, SeriesKind.LIGHT_B)}[p.base_kind]
         for kind in kinds:
-            outputs.append(condition_vector(a, kind, 6, p.gamma1, p.gamma2))
+            # at n = s + 2 the kind is a branch
+            outputs.append(condition_vector(a, kind, _start(kind) + 2, p.gamma1, p.gamma2))
     for coeffs in outputs:
         assert coeffs and all(type(c) is F for c in coeffs), coeffs
 
