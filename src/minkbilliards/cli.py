@@ -112,8 +112,15 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _fraction(s: str) -> Fraction:
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"--params entry {s!r} has a zero denominator") from None
+
+
 def _cmd_check_cayley(args) -> int:
-    vals = [Fraction(x) for x in args.params.split(",")]
+    vals = [_fraction(x) for x in args.params.split(",")]
     if len(vals) not in (4, 5):
         raise BilliardError("--params needs a1,a2,a3,gamma1[,gamma2]")
     if args.light and len(vals) == 5:

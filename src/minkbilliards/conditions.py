@@ -182,7 +182,7 @@ def divided_series(base: NormalizedSeries, kind: SeriesKind,
     """Divide the base series by the normalized caustic factor(s) of ``kind``."""
     caustics, divisors, _ = _KINDS[kind]
     if not divisors:
-        raise ValueError(f"not a divided kind: {kind}")
+        raise ValueError(f"not a divided kind: {kind.value}")
     if _KINDS[base.kind][:2] != (caustics, ()):
         raise ValueError(f"{kind.value} series divides the undivided series of the "
                          f"same branch polynomial, not {base.kind.value}")
@@ -332,7 +332,7 @@ def _check_case_consistency(params: HyperellipticParams, case: CausticCase) -> N
     if case in (CausticCase.LIGHT, CausticCase.DOUBLE):
         _check_gamma1_range((params.a1, params.a2, params.a3), params.gamma1, case)
     elif params.gamma2 is None or params.is_double:
-        raise CaseMismatchError(f"case {case} needs two distinct finite caustics")
+        raise CaseMismatchError(f"case {case.value} needs two distinct finite caustics")
     elif not _placed(case, params.a1, params.a2, params.a3, params.gamma1, params.gamma2):
         raise CaseMismatchError(f"parameters do not satisfy the {case.value} placement")
 

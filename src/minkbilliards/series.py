@@ -12,8 +12,10 @@ kernel (products, square root, quotient) uses only + - * / and takes its
 zeros and ones from its input, so the same code runs on Fractions (the
 exact engine), on floats (Newton refinement), on numpy arrays holding one
 value per grid point (the search's grid scan) and on ``ModP`` residues
-modulo the prime p = 2^61 - 1.  Exact input gives exact output: no float
-ever enters a Fraction series.
+modulo the prime p = 2^30 - 35, the largest prime below 2^30: a residue is
+one CPython digit and a product of two is two, and p is above the 1e9 bound
+``HyperellipticParams.from_floats`` puts on denominators.  Exact input gives
+exact output: no float ever enters a Fraction series.
 
 Exact ranks and nullspaces carry a modular certificate.  A rational matrix
 whose entries are p-integral has rank mod p at most its rank over Q, so full
@@ -43,7 +45,9 @@ from .errors import InsufficientOrderError, ZeroGammaError
 
 _log = logging.getLogger(__name__)
 
-MODULUS = 2 ** 61 - 1      # a Mersenne prime: residues fit one machine word
+# the largest prime below 2^30: a residue fits one 30-bit CPython digit, and
+# p > 1e9 divides no denominator of a 1e9-rationalized parameter
+MODULUS = 2 ** 30 - 35
 
 
 class NonUnitError(ArithmeticError):
@@ -329,7 +333,7 @@ def rank_mod_p(rows_in: list[list]) -> int | None:
     pivot, and an entry is reduced mod p only when it is tested for zero or
     made a pivot or a row multiplier.  The pivot row is reduced and
     normalized once, so an update x - f y adds less than p^2 to x, and the
-    entries stay a few words long between pivots.
+    entries stay a few CPython digits long between pivots.
     """
     try:
         rows = [[x.v if type(x) is ModP else _residue(x) for x in row] for row in rows_in]

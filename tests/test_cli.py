@@ -290,6 +290,14 @@ def test_check_cayley_light_flag(capsys):
     assert code == 0 and out.strip() == "SATISFIED"
 
 
+def test_check_cayley_zero_denominator_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "check-cayley", "--params", "4,2,1,1/2,-1/0",
+                         "--case", "S1", "--n", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("usage error: ") and "'-1/0'" in err
+    assert "Traceback" not in err
+
+
 def test_check_cayley_light_flag_rejects_gamma2(capsys):
     # --light puts gamma2 at infinity, so a fifth value is a usage error,
     # not a value to drop

@@ -139,13 +139,20 @@ def test_cayley_case_mismatch():
 
 def test_cayley_case_needs_its_caustic_shape():
     # a light-like case needs gamma2 at infinity, and a two-caustic case two
-    # distinct finite caustics
+    # distinct finite caustics; the message names the case, not its enum repr
     with pytest.raises(CaseMismatchError, match="at-infinity sentinel"):
         cayley_test(params421(F(1), -F(1, 2)), CausticCase.LIGHT, 6)
     for gamma2 in (None, F(1)):
         p = HyperellipticParams(F(4), F(2), F(1), F(1), gamma2)
-        with pytest.raises(CaseMismatchError, match="two distinct finite caustics"):
+        with pytest.raises(CaseMismatchError,
+                           match="^case S1 needs two distinct finite caustics$"):
             cayley_test(p, CausticCase.S1, 4)
+
+
+def test_divided_series_rejects_the_undivided_kind_by_name():
+    p = params421(F(3, 2), -F(1, 2))
+    with pytest.raises(ValueError, match="^not a divided kind: A$"):
+        divided_series(sqrt_series(p, 6), SeriesKind.A, p)
 
 
 def test_cayley_order_independence():

@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 from fractions import Fraction as F
 
@@ -7,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from minkbilliards import HyperellipticParams, condition_vector, divided_series, sqrt_series
-from minkbilliards.conditions import _start
+from minkbilliards.conditions import RATIONALIZE_DENOMINATOR_BOUND, _start
 from minkbilliards.errors import InsufficientOrderError
 from minkbilliards.series import (
     MODULUS,
@@ -243,6 +244,13 @@ def test_certificate_falls_back_to_exact(block, caplog):
     assert _paths(caplog) == ["exact", "exact"]
 
 
+def test_modulus_is_a_one_digit_prime_above_the_denominator_bound():
+    # one 30-bit CPython digit per residue, and no 1e9-bounded denominator
+    # from ``HyperellipticParams.from_floats`` is divisible by it
+    assert RATIONALIZE_DENOMINATOR_BOUND < MODULUS < 2 ** 30
+    assert all(MODULUS % d for d in range(2, math.isqrt(MODULUS) + 1))
+
+
 def test_rank_mod_p_is_rank_of_the_reduction():
     assert rank_mod_p([[MODULUS, 1], [0, MODULUS]]) == 1
     assert rank_mod_p([[F(1, 3), F(2, 3)], [F(1), F(2)]]) == 1
@@ -279,8 +287,9 @@ def _eager_rank_mod_p(rows_in):
     return rank
 
 
+# residues below p, and unreduced ints well above it
 _RESIDUE_ENTRY = st.one_of(st.sampled_from([0, 1, MODULUS - 1, MODULUS, MODULUS + 1]),
-                           st.integers(0, 2 ** 61 - 1))
+                           st.integers(0, MODULUS - 1), st.integers(MODULUS, MODULUS ** 2))
 
 
 @st.composite
