@@ -63,9 +63,11 @@ from .series import (
 RATIONALIZE_DENOMINATOR_BOUND = 10 ** 9
 
 
-def rationalize(x: float, bound: int = RATIONALIZE_DENOMINATOR_BOUND) -> Fraction:
-    """Continued-fraction rational approximation with bounded denominator."""
-    return Fraction(x).limit_denominator(bound)
+def rationalize(x: float) -> Fraction:
+    """Continued-fraction rational approximation with denominator at most
+    ``RATIONALIZE_DENOMINATOR_BOUND`` (10^9), the only bound: the prime
+    ``series.MODULUS`` > 10^9 divides no denominator it returns."""
+    return Fraction(x).limit_denominator(RATIONALIZE_DENOMINATOR_BOUND)
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,8 @@ class HyperellipticParams:
             if value is not None:
                 object.__setattr__(self, name, Fraction(value))
         if not (self.a1 > self.a2 > 0 and self.a3 > 0):
-            raise SingularCurveError(f"invalid ellipsoid {(self.a1, self.a2, self.a3)}")
+            raise SingularCurveError("invalid ellipsoid: need a1 > a2 > 0 and a3 > 0, "
+                                     f"got ({self.a1}, {self.a2}, {self.a3})")
         specials = {self.a1, self.a2, -self.a3}
         gammas = [self.gamma1] + ([] if self.gamma2 is None else [self.gamma2])
         for g in gammas:
@@ -109,11 +112,11 @@ class HyperellipticParams:
 
     @classmethod
     def from_floats(cls, a1: float, a2: float, a3: float,
-                    gamma1: float, gamma2: float | None,
-                    bound: int = RATIONALIZE_DENOMINATOR_BOUND) -> "HyperellipticParams":
-        return cls(rationalize(a1, bound), rationalize(a2, bound), rationalize(a3, bound),
-                   rationalize(gamma1, bound),
-                   None if gamma2 is None else rationalize(gamma2, bound))
+                    gamma1: float, gamma2: float | None) -> "HyperellipticParams":
+        """The parameters, each ``rationalize``d: every denominator is at most
+        10^9, so the modular rank certificate's ``series.MODULUS`` applies."""
+        return cls(rationalize(a1), rationalize(a2), rationalize(a3), rationalize(gamma1),
+                   None if gamma2 is None else rationalize(gamma2))
 
     @property
     def base_kind(self) -> SeriesKind:

@@ -285,10 +285,11 @@ def solve_pell(params: HyperellipticParams, n: int,
     """Solve the variant's identity at period n, or return None.
 
     Forces p*(x) + q*(x) S(x) to vanish to order n at 0, first mod p and
-    then exactly: computes the rational nullspace of its q-part, picks the
-    solution with q of minimal degree, makes p* monic, and transports to
-    s = 1/x.  A value is returned iff the corresponding rank-type
-    periodicity condition holds, which a degenerate case may lack at n.
+    then exactly: computes the rational nullspace of its q-part, takes its
+    first basis vector (the solution with q of minimal degree), makes p*
+    monic, and transports to s = 1/x.  A value is returned iff the
+    corresponding rank-type periodicity condition holds, which a degenerate
+    case may lack at n.
     """
     _validate_params_for_variant(variant, params, n)
     dp, dq = variant_degrees(variant, n)
@@ -300,7 +301,9 @@ def solve_pell(params: HyperellipticParams, n: int,
     kernel = nullspace([row[::-1] for row in _block(kind, s, n)], dq + 1)
     if not kernel:
         return None
-    qvec = min(kernel, key=lambda v: max((j for j, x in enumerate(v) if x != 0), default=-1))
+    # the reduced row echelon basis ends each vector at its own free column,
+    # and the free columns ascend: the first vector's q has the least degree
+    qvec = kernel[0]
 
     # p* kills orders 0..dp
     pvec = [-sum(qvec[j] * s[k - j] for j in range(min(k, dq) + 1)) for k in range(dp + 1)]

@@ -17,14 +17,15 @@ numpy arrays of caustic parameters and evaluates every grid point in one
 call.  Newton refinement runs every seed in lock-step (``_newton_batch``):
 per iteration one array call on the forward-difference points of all live
 seeds, one on their full Newton steps, and one on the 39 shorter step
-lengths of the seeds whose full step does not descend; each seed ends at
-the same point, bit for bit, as the loop run on it alone.  A seed
-that steps out of the escape box (the case rectangle widened by its own
-width on every side) ends there, since no root outside the rectangle is
-kept.  The 1-D bisection, candidate residuals and cross-validation pass
-floats.  Each scanned search logs one DEBUG record on this module's logger,
-with a ``search`` attribute counting grid cells, seeds, Newton outcomes and
-rejected roots.
+lengths of the seeds whose full step does not descend, for at most
+``_NEWTON_ITMAX`` iterations.  The 2 x 2 Newton step is Cramer's rule on
+the batch arrays, so each seed ends at the same point, bit for bit, as the
+loop run on it alone.  A seed that steps out of the escape box (the case
+rectangle widened by its own width on every side) ends there, since no root
+outside the rectangle is kept.  The 1-D bisection, candidate residuals and
+cross-validation pass floats.  Each scanned search logs one DEBUG record
+on this module's logger, with a ``search`` attribute counting grid cells,
+seeds, Newton outcomes and rejected roots.
 """
 
 from __future__ import annotations
@@ -164,9 +165,10 @@ class PeriodicCandidate:
 CONVERGED, STALLED, SINGULAR, CAPPED, ESCAPED = range(5)
 _OUTCOME_NAMES = ("converged", "stalled", "singular", "iteration_cap", "escaped")
 _SHORT_STEPS = np.array([0.5 ** k for k in range(1, 40)])    # exact powers of two
+_NEWTON_ITMAX = 60
 
 
-def _newton_batch(func, seeds, tol: float, itmax: int = 60, box=None):
+def _newton_batch(func, seeds, tol: float, box=None):
     """Damped Newton on F: R^2 -> R^2 from every seed at once.
 
     ``func`` maps a (k, 2) array of points to a (k, 2) array of values.
@@ -174,18 +176,20 @@ def _newton_batch(func, seeds, tol: float, itmax: int = 60, box=None):
     Each iteration calls ``func`` on the forward-difference points of the
     live seeds' Jacobians and on their full Newton steps; only the seeds
     whose full step does not descend go on to one more call, on the 39
-    shorter lengths.  The kernel acts element by element and ``1.0 * dx ==
-    dx``, so every seed follows the iterates of the same loop run on that
-    seed alone, bit for bit.
+    shorter lengths.  The step solves J dx = -f by Cramer's rule, forward
+    stable for 2 x 2 systems.  The kernel and the solve act element by
+    element and ``1.0 * dx == dx``, so every seed follows the iterates of
+    the same loop run on that seed alone, bit for bit.
     ``func`` returns nan or inf outside its domain instead of raising; a
     non-finite value fails the descent test.
     ``box`` = ((lo1, hi1), (lo2, hi2)), when given, is the escape box: a
     seed that an accepted step puts outside it stops there.  Ending a seed
     leaves the others' iterates as they were, bit for bit.
     Returns the final points and an outcome per seed: CONVERGED (max|f| <
-    tol), STALLED (no step length descends), SINGULAR (the Jacobian solve
-    failed), ESCAPED (stepped out of ``box``) or CAPPED (still above tol
-    after ``itmax`` iterations).
+    tol), STALLED (no step length descends; a nan or inf Jacobian ends
+    here), SINGULAR (the Jacobian's determinant is exactly 0), ESCAPED
+    (stepped out of ``box``) or CAPPED (still above tol after
+    ``_NEWTON_ITMAX`` iterations).
     """
     x = np.array(seeds, dtype=float).reshape(-1, 2)
     if box is not None:
@@ -197,7 +201,7 @@ def _newton_batch(func, seeds, tol: float, itmax: int = 60, box=None):
         fx = func(x)
         mx = np.max(np.abs(fx), axis=1)
         live = np.ones(len(x), dtype=bool)
-        for _ in range(itmax):
+        for _ in range(_NEWTON_ITMAX):
             done = live & (mx < tol)
             outcome[done] = CONVERGED
             live &= ~done
@@ -211,8 +215,12 @@ def _newton_batch(func, seeds, tol: float, itmax: int = 60, box=None):
             xp[:, 0, 0] += step[:, 0]
             xp[:, 1, 1] += step[:, 1]
             fp = func(xp.reshape(-1, 2)).reshape(-1, 2, 2)
-            jac = ((fp - fl[:, None, :]) / step[:, :, None]).transpose(0, 2, 1)
-            dx, singular = _solve2(jac, -fl)
+            # column j of the Jacobian [[a, b], [c, d]] is row j of fp's slope
+            (a, c), (b, d) = ((fp - fl[:, None, :]) / step[:, :, None]).transpose(1, 2, 0)
+            det = a * d - b * c
+            dx = np.column_stack(((b * fl[:, 1] - d * fl[:, 0]) / det,
+                                  (c * fl[:, 0] - a * fl[:, 1]) / det))
+            singular = det == 0.0
             outcome[idx[singular]] = SINGULAR
             live[idx[singular]] = False
             idx, xl, dx = idx[~singular], xl[~singular], dx[~singular]
@@ -243,24 +251,6 @@ def _newton_batch(func, seeds, tol: float, itmax: int = 60, box=None):
                 live[out] = False
     outcome[live & (mx < tol)] = CONVERGED
     return x, outcome
-
-
-def _solve2(jac: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve every 2x2 system jac[s] dx = rhs[s]; a singular system leaves a
-    zero row and sets its flag.  The batched solve runs LAPACK per matrix,
-    so its rows equal single solves, which are needed only when one raises."""
-    singular = np.zeros(len(jac), dtype=bool)
-    try:
-        return np.linalg.solve(jac, rhs[:, :, None])[:, :, 0], singular
-    except np.linalg.LinAlgError:
-        pass
-    dx = np.zeros_like(rhs)
-    for s in range(len(jac)):
-        try:
-            dx[s] = np.linalg.solve(jac[s], rhs[s])
-        except np.linalg.LinAlgError:
-            singular[s] = True
-    return dx, singular
 
 
 def find_periodic(spec: SearchSpec) -> list[PeriodicCandidate]:

@@ -298,6 +298,15 @@ def test_check_cayley_zero_denominator_is_a_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_check_cayley_invalid_ellipsoid_states_the_rule(capsys):
+    # the message names the rule and prints plain values, not Fraction reprs
+    code, out, err = run(capsys, "check-cayley", "--params", "0,0,0,0,0",
+                         "--case", "S1", "--n", "4")
+    assert code == 2 and out == ""
+    assert err == ("precondition violated: invalid ellipsoid: "
+                   "need a1 > a2 > 0 and a3 > 0, got (0, 0, 0)\n")
+
+
 def test_check_cayley_light_flag_rejects_gamma2(capsys):
     # --light puts gamma2 at infinity, so a fifth value is a usage error,
     # not a value to drop

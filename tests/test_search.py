@@ -711,7 +711,7 @@ def test_find_periodic_degenerate_cases_explain_missing_rectangle(case):
     assert "scan_singular_condition" in msg
 
 
-def _reference_newton(func, x0, tol, itmax=60, accepted=None):
+def _reference_newton(func, x0, tol, accepted=None):
     """The per-seed damped Newton loop that _newton_batch replaces, run on
     one-row arrays of ``func`` so its arithmetic is the batch's own."""
     def f(x):
@@ -720,7 +720,7 @@ def _reference_newton(func, x0, tol, itmax=60, accepted=None):
 
     x = np.array(x0, dtype=float)
     fx = f(x)
-    for _ in range(itmax):
+    for _ in range(search._NEWTON_ITMAX):
         if np.max(np.abs(fx)) < tol:
             return x, True
         h = 1e-7
@@ -729,9 +729,11 @@ def _reference_newton(func, x0, tol, itmax=60, accepted=None):
             xp = x.copy()
             xp[j] += h * max(1.0, abs(x[j]))
             jac[:, j] = (f(xp) - fx) / (h * max(1.0, abs(x[j])))
-        try:
-            dx = np.linalg.solve(jac, -fx)
-        except np.linalg.LinAlgError:
+        (a, b), (c, d) = jac
+        with np.errstate(all="ignore"):
+            det = a * d - b * c
+            dx = np.array([(b * fx[1] - d * fx[0]) / det, (c * fx[0] - a * fx[1]) / det])
+        if det == 0.0:
             return x, False
         lam = 1.0
         improved = False
@@ -768,9 +770,9 @@ def test_newton_batch_matches_per_seed_loop(monkeypatch, case, n):
     calls = []
     newton_batch = search._newton_batch
 
-    def recording(func, seeds, tol, itmax=60, box=None):
+    def recording(func, seeds, tol, box=None):
         calls.append((func, seeds, tol))
-        return newton_batch(func, seeds, tol, itmax, box)
+        return newton_batch(func, seeds, tol, box)
 
     monkeypatch.setattr(search, "_newton_batch", recording)
     find_periodic(SearchSpec((4.0, 2.0, 1.0), case, n, grid=32))
@@ -830,6 +832,65 @@ def test_newton_batch_stalls_at_nan_boundary():
     assert 1.999 < xs[0, 0] < 2.0
 
 
+def test_newton_batch_closed_form_step():
+    # the step is Cramer's rule on the forward-difference Jacobian.  On
+    # random affine systems with condition number up to 1e6 it agrees with
+    # LAPACK's solve of that Jacobian within a few units of kappa * eps, the
+    # forward error bound both solves meet; where kappa <= 1e3 that is 1e-12
+    def rotation(t):
+        return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+    rng = np.random.default_rng(35)
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for _ in range(300):
+        th, ph = rng.uniform(0.0, 2.0 * math.pi, 2)
+        sing = np.diag([1.0, 10.0 ** -rng.uniform(0.0, 6.0)])
+        (a, b), (c, d) = rotation(th) @ sing @ rotation(ph).T * 10.0 ** rng.uniform(-3.0, 3.0)
+        f0 = rng.uniform(-1.0, 1.0, 2)
+        calls = []
+
+        def affine(pts):
+            calls.append(pts.copy())
+            x, y = pts[:, 0], pts[:, 1]
+            return np.column_stack((a * x + b * y + f0[0], c * x + d * y + f0[1]))
+
+        search._newton_batch(affine, [(0.0, 0.0)], 1e-300)
+        # calls: the seed, its two forward-difference points, its full step
+        fx = affine(calls[0])[0]
+        jac = ((affine(calls[1]) - fx) / 1e-7).T
+        kappa = np.linalg.cond(jac)
+        assert kappa < 1.1e6
+        dx = calls[2][0]    # the seed is the origin, so the full step is dx
+        ref = np.linalg.solve(jac, -fx)
+        err = np.max(np.abs(dx - ref)) / np.max(np.abs(ref))
+        assert err <= 4.0 * kappa * eps, (kappa, err)
+        if kappa <= 1e3:
+            worst = max(worst, err)
+    assert worst < 1e-12
+
+    # f does not depend on y: the Jacobian's second column is 0, its
+    # determinant a * 0 - 0 * c is exactly 0, and the seed stays put
+    def flat(pts):
+        x = pts[:, 0]
+        return np.column_stack((x - 1.0, 2.0 * x + 1.0))
+
+    xs, outcome = _assert_matches_reference(flat, [(0.5, 0.25)], 1e-13)
+    assert outcome.tolist() == [search.SINGULAR] and xs[0].tolist() == [0.5, 0.25]
+
+    # f is finite at the seed but nan or inf at its forward-difference point
+    # in x: the determinant and the step are nan, no length descends, and
+    # the seed stalls where it started
+    for bad in (math.nan, math.inf):
+        def edge(pts, bad=bad):
+            x, y = pts[:, 0], pts[:, 1]
+            return np.column_stack((np.where(x > 1.0, bad, x - 3.0),
+                                    np.where(x > 1.0, bad, y - 1.0)))
+
+        xs, outcome = _assert_matches_reference(edge, [(1.0, 0.5)], 1e-13)
+        assert outcome.tolist() == [search.STALLED] and xs[0].tolist() == [1.0, 0.5]
+
+
 def test_newton_batch_escape_box_ends_seed():
     # the full Newton step from (0.5, 0.5) lands next to the root (10, 0.5),
     # outside the box: the seed ends there, while the batch without the box
@@ -863,9 +924,9 @@ def test_escape_box_keeps_every_root_on_the_search_runs(monkeypatch):
     calls = []
     newton_batch = search._newton_batch
 
-    def recording(func, seeds, tol, itmax=60, box=None):
+    def recording(func, seeds, tol, box=None):
         calls.append((func, seeds, tol, box))
-        return newton_batch(func, seeds, tol, itmax, box)
+        return newton_batch(func, seeds, tol, box)
 
     monkeypatch.setattr(search, "_newton_batch", recording)
     escaped = 0
