@@ -25,11 +25,11 @@ the case's placement or degenerate gamma1 range, the one no-condition rule
 (odd light-like periods need an ellipsoid caustic), and then names the
 first branch of the case at n whose block is deficient.
 
-Every Hankel test runs twice at most: first on the series built modulo the
-prime p of ``series.MODULUS``, where a block of full rank proves full rank
-over Q, and on the exact rational series only when some block is deficient
-mod p (the rare SATISFIED case) or a caustic or ellipsoid parameter is not a
-p-unit.
+Each block is ranked once on the series modulo the prime p of
+``series.MODULUS``, where full rank proves full rank over Q.  The branches
+deficient mod p (all, when a parameter is not a p-unit) go on to the exact
+series, built once: a block is deficient iff the nullspace of its reversed
+columns, the q-part of the Pell solution, is not empty (``_exact_kernel``).
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .series import (
     hankel_block,
     matrix_rank,
     normalized_branch_poly,
+    nullspace,
     series_div,
     series_sqrt,
 )
@@ -260,27 +261,22 @@ def _kind_series(params: HyperellipticParams, kinds, n: int, number=Fraction):
         yield base if kind is base.kind else divided_series(base, kind, params)
 
 
-def _any_deficient(params: HyperellipticParams, kinds, n: int, number) -> SeriesKind | None:
-    """The first kind in ``kinds``, in order, whose block at period n is
-    deficient over ``number``, or None."""
-    series = _kind_series(params, kinds, n, number)
-    return next((kind for kind, s in zip(kinds, series) if _deficient(kind, s, n)), None)
-
-
-def _full_rank_mod_p(deficient) -> bool:
-    """Whether ``deficient(ModP)`` is falsy, which proves the exact answer
-    falsy: the series mod p reduces the rational one, so full rank mod p is
-    full rank over Q.  A deficient block mod p, or no reduction, proves nothing."""
+def _exact_kernel(params: HyperellipticParams, kinds, n: int
+                  ) -> tuple[SeriesKind, NormalizedSeries, list[list[Fraction]]] | None:
+    """(kind, exact series, kernel) of the first kind in ``kinds`` whose
+    block at period n is deficient, or None; mod p first, as the module
+    docstring says."""
     try:
-        return not deficient(ModP)
+        kinds = [kind for kind, series in zip(kinds, _kind_series(params, kinds, n, ModP))
+                 if _deficient(kind, series, n)]
     except NonUnitError:
-        return False
-
-
-def _certified(deficient):
-    """Exact answer of a Hankel test ``deficient(number)``, mod p first:
-    False where full rank mod p proves it, else ``deficient(Fraction)``."""
-    return not _full_rank_mod_p(deficient) and deficient(Fraction)
+        pass    # no reduction mod p: every kind goes on
+    for kind, series in zip(kinds, _kind_series(params, kinds, n)):
+        block = _block(kind, series, n)
+        kernel = nullspace([row[::-1] for row in block], len(block[0]))
+        if kernel:
+            return kind, series, kernel
+    return None
 
 
 def condition_vector(a, kind: SeriesKind, n: int, g1, g2) -> list:
@@ -346,17 +342,17 @@ def _without_condition(params: HyperellipticParams, n: int) -> bool:
     return params.is_lightlike and n % 2 == 1 and params.gamma1 > params.a2
 
 
-def _deficient_branch(params: HyperellipticParams, case: CausticCase,
-                      n: int) -> SeriesKind | None:
-    """The first branch of the case at n whose block is deficient, or None,
-    after the checks in the module docstring's order; mod p first."""
+def _deficient_branch(params: HyperellipticParams, case: CausticCase, n: int
+                      ) -> tuple[SeriesKind, NormalizedSeries, list[list[Fraction]]] | None:
+    """(kind, exact series, kernel) of the first branch of the case at n
+    whose block is deficient, or None, after the checks in the module
+    docstring's order (see ``_exact_kernel``)."""
     if n < 3:
         raise ValueError("period must be at least 3")
     _check_case_consistency(params, case)
     if _without_condition(params, n):
         return None
-    kinds = _branches(case, n)
-    return _certified(lambda number: _any_deficient(params, kinds, n, number)) or None
+    return _exact_kernel(params, _branches(case, n), n)
 
 
 def cayley_test(params: HyperellipticParams, case: CausticCase, n: int) -> bool:

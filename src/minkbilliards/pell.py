@@ -21,9 +21,8 @@ The q-part of the vanishing system, orders deg p + 1 .. n - 1, is the Hankel
 block ``conditions._block`` of the variant's kind with its columns reversed,
 on the series built to ``conditions._required_order(n)`` = n - 1.  A solve
 checks the parameters (a degenerate range as the rank test does) and the
-period, then applies the rank test's no-condition rule and gate mod p: full
-rank mod p is full rank over Q, so None comes without the rational series; a
-deficient block mod p (or a non-p-unit parameter) goes on to the nullspace.
+period, applies the rank test's no-condition rule, and then builds p* and q*
+from the rank test's own decision, ``conditions._exact_kernel``.
 """
 
 from __future__ import annotations
@@ -45,17 +44,14 @@ from .conditions import (
     _CASE_KINDS,
     _KINDS,
     HyperellipticParams,
-    _any_deficient,
-    _block,
     _check_case_consistency,
     _degenerate_params,
-    _full_rank_mod_p,
+    _exact_kernel,
     _is_branch,
-    _kind_series,
     _start,
     _without_condition,
 )
-from .series import SeriesKind, nullspace, poly_mul_frac
+from .series import NormalizedSeries, SeriesKind, poly_mul_frac
 
 
 # -- exact polynomial arithmetic ---------------------------------------------
@@ -267,8 +263,7 @@ def _check_shape(variant: PellVariant, params: HyperellipticParams) -> None:
                                  f"got ({names[1]})")
 
 
-def _validate_params_for_variant(variant: PellVariant, params: HyperellipticParams,
-                                 n: int) -> None:
+def _validate_params_for_variant(variant: PellVariant, params: HyperellipticParams) -> None:
     """Raise unless the parameters fit the variant, at any period n."""
     _check_shape(variant, params)
     if variant is PellVariant.ODD_C and params.gamma1 <= 0:
@@ -284,23 +279,26 @@ def solve_pell(params: HyperellipticParams, n: int,
                variant: PellVariant) -> PellSolution | None:
     """Solve the variant's identity at period n, or return None.
 
-    Forces p*(x) + q*(x) S(x) to vanish to order n at 0, first mod p and
-    then exactly: computes the rational nullspace of its q-part, takes its
-    first basis vector (the solution with q of minimal degree), makes p*
-    monic, and transports to s = 1/x.  A value is returned iff the
-    corresponding rank-type periodicity condition holds, which a degenerate
-    case may lack at n.
+    Forces p*(x) + q*(x) S(x) to vanish to order n at 0: the kernel of its
+    q-part comes from the rank test's decision on the variant's block,
+    mod p first and then exactly (see the module docstring).  A value is
+    returned iff the corresponding rank-type periodicity condition holds,
+    which a degenerate case may lack at n.
     """
-    _validate_params_for_variant(variant, params, n)
+    _validate_params_for_variant(variant, params)
+    variant_degrees(variant, n)
+    if _without_condition(params, n):
+        return None
+    found = _exact_kernel(params, (_VARIANT_KINDS[variant],), n)
+    return None if found is None else _kernel_solution(params, n, variant, *found[1:])
+
+
+def _kernel_solution(params: HyperellipticParams, n: int, variant: PellVariant,
+                     s: NormalizedSeries, kernel: list[list[Fraction]]) -> PellSolution | None:
+    """The solution from the kind's exact series ``s`` and its block's kernel
+    at period n: the first basis vector (q of minimal degree) as q*, p*
+    made monic, transported to s = 1/x."""
     dp, dq = variant_degrees(variant, n)
-    kind = _VARIANT_KINDS[variant]
-    if _without_condition(params, n) or _full_rank_mod_p(
-            lambda number: _any_deficient(params, (kind,), n, number)):
-        return None
-    (s,) = _kind_series(params, (kind,), n)
-    kernel = nullspace([row[::-1] for row in _block(kind, s, n)], dq + 1)
-    if not kernel:
-        return None
     # the reduced row echelon basis ends each vector at its own free column,
     # and the free columns ascend: the first vector's q has the least degree
     qvec = kernel[0]
@@ -367,6 +365,6 @@ def solve_pell_singular(a: tuple[Fraction, Fraction, Fraction], gamma1: Fraction
     kind = _VARIANT_KINDS[which]
     case = _DEGENERATE_CASES.get(kind)
     if case is None:
-        raise ValueError(f"not a singular variant: {which}")
+        raise ValueError(f"not a singular variant: {which.value}")
     params = _degenerate_params(a, gamma1, case)
     return None if n % 2 != _start(kind) % 2 else solve_pell(params, n, which)

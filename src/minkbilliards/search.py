@@ -71,7 +71,7 @@ from .errors import (
     NoConvergenceError,
 )
 from .minkowski import Vec3, mink_dot
-from .pell import _VARIANT_KINDS, PellSolution, PellVariant, solve_pell, verify_pell
+from .pell import _VARIANT_KINDS, PellSolution, PellVariant, _kernel_solution, verify_pell
 from .series import SeriesKind
 from .simulator import (
     PeriodSignature,
@@ -525,7 +525,8 @@ def tangent_line_for_caustics(ell: Ellipsoid, cp: CausticPair,
                 if got.gamma2 is None or abs(got.gamma2 - cp.gamma2) > 1e-9 * max(abs(cp.gamma2), 1.0):
                     continue
             return x, v
-    raise NoConvergenceError(f"no tangent line found for caustics {cp}")
+    raise NoConvergenceError(f"no {cp.linetype.value}-like tangent line found for caustics "
+                             f"gamma1={cp.gamma1}, gamma2={cp.gamma2}")
 
 
 # -- cross validation -----------------------------------------------------------
@@ -613,9 +614,9 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int) -> ValidationReport:
     starts (seeds 0, 1, 2), period detection, parity, Chasles and the
     winding-number residuals; below n = 3 it raises as ``find_periodic`` does.
 
-    The exact verdict names the deficient branch of the case at n, if any;
-    only then is Pell solved, once, for that branch's variant, so the
-    certificate is the nullspace of the deficient branch's Hankel block.
+    The exact verdict names the deficient branch of the case at n, if any,
+    with its exact series and kernel; only then is the certificate built,
+    once, for that branch's variant from that kernel.
     The condition residual is the smallest ``_residual`` over the case's
     branches at n, the blocks the exact verdict ranks; a case with no branch
     at n records a ``condition`` failure.  All three starts must close and
@@ -633,12 +634,12 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int) -> ValidationReport:
     report = ValidationReport((ell.a1, ell.a2, ell.a3), case, n, cp.gamma1, g2)
 
     # exact side
-    branch = None
+    found = None
     try:
-        branch = _deficient_branch(params, case, n)
+        found = _deficient_branch(params, case, n)
     except (BilliardError, ValueError) as exc:
         report.fail("cayley", exc)
-    report.cayley_pass = branch is not None
+    report.cayley_pass = found is not None
     try:
         if kinds:
             report.condition_residual = min(
@@ -648,10 +649,11 @@ def cross_validate(ell: Ellipsoid, cp: CausticPair, n: int) -> ValidationReport:
             report.fail("condition", f"case {case.value} has no condition branch at n={n}")
     except (BilliardError, ValueError, ZeroDivisionError) as exc:
         report.fail("condition", exc)
-    if branch is not None:
-        variant = _KIND_VARIANTS[branch]
+    if found is not None:
+        kind, series, kernel = found
+        variant = _KIND_VARIANTS[kind]
         try:
-            sol = solve_pell(params, n, variant)
+            sol = _kernel_solution(params, n, variant, series, kernel)
             if sol is not None and verify_pell(sol):
                 report.pell_certificate = sol
         except (BilliardError, ValueError) as exc:

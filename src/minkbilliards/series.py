@@ -17,16 +17,18 @@ one CPython digit and a product of two is two, and p is above the 1e9 bound
 ``HyperellipticParams.from_floats`` puts on denominators.  Exact input gives
 exact output: no float ever enters a Fraction series.
 
-Exact ranks and nullspaces carry a modular certificate.  A rational matrix
-whose entries are p-integral has rank mod p at most its rank over Q, so full
-rank mod p proves full rank over Q; that decides the common NOT-SATISFIED
-verdict on plain Python ints.  On residues the square-root recurrence sums
-its products as ints and reduces once per coefficient, and the elimination
-mod p updates only the columns right of each pivot and reduces an entry
-only when it reads it.  Every other case (deficient mod p, a denominator
+Exact ranks carry a modular certificate.  A rational matrix whose entries
+are p-integral has rank mod p at most its rank over Q, so full rank mod p
+proves full rank over Q; that decides the common NOT-SATISFIED verdict on
+plain Python ints.  On residues the square-root recurrence sums its
+products as ints and reduces once per coefficient, and the elimination mod
+p updates only the columns right of each pivot and reduces an entry only
+when it reads it.  Every other case (deficient mod p, a denominator
 divisible by p) falls back to the one exact elimination over Q: the
 fraction-free Bareiss echelon form, whose pivots give the rank and whose
-rows give the nullspace by back-substitution.  A series built from ``ModP``
+rows give the nullspace by back-substitution.  ``nullspace`` always
+eliminates exactly: the Hankel tests ask for it only once a block is
+deficient mod p or has no reduction.  A series built from ``ModP``
 input is the reduction of the exact one as long as every division is by a
 p-unit; ``ModP`` raises ``NonUnitError`` otherwise, and the caller takes the
 exact path.  Each exact decision is logged at DEBUG on this module's logger.
@@ -401,16 +403,12 @@ def hankel_rank(series: NormalizedSeries, row_lo: int, rows: int, cols: int) -> 
 
 
 def nullspace(rows_in: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the exact nullspace of the (rows x ncols) rational system.
-
-    Empty without exact elimination when the columns are independent mod p;
-    otherwise one vector per free column of ``_echelon``, in ascending order:
-    1 at its own free column, 0 at the others, and the pivot entries by
-    back-substitution.  That is the reduced row echelon basis.
+    """Basis of the exact nullspace of the (rows x ncols) rational system,
+    with no modular shortcut (its caller ranks mod p first): one vector per
+    free column of ``_echelon``, in ascending order, 1 at its own free
+    column, 0 at the others, and the pivot entries by back-substitution.
+    That is the reduced row echelon basis.
     """
-    if rank_mod_p(rows_in) == ncols:
-        _log_decision("nullspace", rows_in, ncols, "modular")
-        return []
     pivots, m = _echelon(rows_in)
     _log_decision("nullspace", rows_in, len(pivots), "exact")
     basis = []

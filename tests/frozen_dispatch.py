@@ -5,10 +5,13 @@ variant table and degree arithmetic, and the per-variant Pell weights,
 constant signs, parameter and range checks and verification.  Also the
 per-module caustic-case placements that the case-interval table in
 ``confocal`` replaced: the quadric-type classification, the exact placement
-inequalities and the search rectangles.
+inequalities and the search rectangles.  And its own copy of the rank
+tests' old certificate, ``_certified`` (rank mod p first, then the exact
+rank), which the package replaced with one exact decision shared with the
+Pell solve, ``conditions._exact_kernel``.
 ``test_branch_table`` checks that the tables give the same answers.
 Nothing in the package imports this module; the Hankel rank, series
-builds, modular certificate and Pell solve are the package's own.
+builds and Pell solve are the package's own.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from fractions import Fraction
 
 from minkbilliards.conditions import (
     HyperellipticParams,
-    _certified,
     _check_case_consistency,
     divided_series,
     sqrt_series,
@@ -32,7 +34,7 @@ from minkbilliards.errors import (
 )
 from minkbilliards.minkowski import LineType
 from minkbilliards.pell import PellVariant, RatPoly, solve_pell
-from minkbilliards.series import SeriesKind, hankel_rank
+from minkbilliards.series import ModP, NonUnitError, SeriesKind, hankel_rank
 
 _TWO_CAUSTIC = (CausticCase.S1, CausticCase.S2, CausticCase.S3, CausticCase.S4,
                 CausticCase.T1, CausticCase.T2, CausticCase.T3, CausticCase.T4)
@@ -66,6 +68,18 @@ def _required_order(n: int) -> int:
     # the order the dispatch built its series to, three past the last
     # coefficient any block reads
     return n + 2
+
+
+def _certified(deficient) -> bool:
+    """Exact answer of a Hankel test ``deficient(number)``, mod p first:
+    False where full rank mod p proves it (no reduction proves nothing),
+    else ``deficient(Fraction)``."""
+    try:
+        if not deficient(ModP):
+            return False
+    except NonUnitError:
+        pass
+    return deficient(Fraction)
 
 
 def hankel_A(series, m: int) -> bool:

@@ -116,11 +116,16 @@ def test_cayley_verdicts_match_frozen_on_seeded_pairs(case):
             assert cayley_test(params, case, n) is frozen.cayley_test(params, case, n)
 
 
-def _decisions(caplog, run) -> list[dict]:
+def _decisions(caplog, run) -> list:
+    """The verdict and the ordered (shape, rank, coeff_bits) of every exact
+    decision: the package's one exact decision is a nullspace of the
+    column-reversed block where the frozen test ranked the block itself."""
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
         verdict = run()
-    return [verdict] + [r.decision for r in caplog.records if hasattr(r, "decision")]
+    return [verdict] + [(d["shape"], d["rank"], d["coeff_bits"])
+                        for d in (r.decision for r in caplog.records if hasattr(r, "decision"))
+                        if d["path"] == "exact"]
 
 
 def test_cayley_verdicts_and_decisions_match_frozen_on_exact_sets(caplog):
@@ -130,6 +135,8 @@ def test_cayley_verdicts_and_decisions_match_frozen_on_exact_sets(caplog):
             new = _decisions(caplog, lambda: cayley_test(params, case, n))
             old = _decisions(caplog, lambda: frozen.cayley_test(params, case, n))
             assert new == old, (case, n)
+            # a SATISFIED verdict is an exact decision
+            assert len(new) > 1 or not new[0], (case, n)
             satisfied += new[0]
     # n = 4k for the S1 and double sets, n = 6 and 12 for the light-like set
     assert satisfied >= 10
@@ -153,7 +160,9 @@ def test_dispatch_matches_frozen_when_every_block_is_deficient(case, monkeypatch
     # rule and the range and placement checks alone
     for name in ("hankel_A", "hankel_B", "hankel_CD"):
         monkeypatch.setattr(frozen, name, lambda series, m: True)
+    # every block deficient mod p, and every kernel nonempty over Q
     monkeypatch.setattr(conditions, "_deficient", lambda kind, series, n: True)
+    monkeypatch.setattr(conditions, "nullspace", lambda rows, ncols: [[F(1)] * ncols])
     rng = random.Random(1700 + list(CausticCase).index(case))
     for params in _seeded_pairs(case, rng, 4):
         for n in range(3, 17):
@@ -221,7 +230,7 @@ def test_pell_weights_signs_and_checks_match_frozen(variant):
         want = _outcome(frozen.validate_params_for_variant, variant, params)
         if want is None and _lightlike_out_of_range(params):
             want = GammaOutOfRangeError
-        assert _outcome(pell._validate_params_for_variant, variant, params, 6) == want
+        assert _outcome(pell._validate_params_for_variant, variant, params) == want
         fits = _outcome(pell._check_shape, variant, params) is None
         assert fits == (_outcome(frozen.validate_params_for_variant, variant, params)
                         is not SingularCurveError)

@@ -214,10 +214,10 @@ def test_deficient_branch_checks_in_one_order():
         conditions._deficient_branch(light, CausticCase.LIGHT, 5)
     hyperboloid = HyperellipticParams(F(4), F(2), F(1), F(3), None)
     assert conditions._deficient_branch(hyperboloid, CausticCase.LIGHT, 5) is None
-    assert conditions._deficient_branch(EXACT_S1_N4, CausticCase.S1, 4) is SeriesKind.B
-    assert conditions._deficient_branch(EXACT_S1_N4, CausticCase.S1, 8) is SeriesKind.A
+    assert conditions._deficient_branch(EXACT_S1_N4, CausticCase.S1, 4)[0] is SeriesKind.B
+    assert conditions._deficient_branch(EXACT_S1_N4, CausticCase.S1, 8)[0] is SeriesKind.A
     double = conditions._degenerate_params(*EXACT_DOUBLE, CausticCase.DOUBLE)
-    assert conditions._deficient_branch(double, CausticCase.DOUBLE, 4) is SeriesKind.DOUBLE_B
+    assert conditions._deficient_branch(double, CausticCase.DOUBLE, 4)[0] is SeriesKind.DOUBLE_B
 
 
 def test_condition_vector_float_matches_exact():

@@ -21,8 +21,6 @@ from minkbilliards import (
 )
 from minkbilliards import conditions, search
 from minkbilliards.conditions import (
-    _certified,
-    _test_A,
     divided_series,
     double_caustic_test,
     lightlike_test,
@@ -436,9 +434,9 @@ def test_satisfied_verdicts_come_from_the_exact_path(n, caplog):
 def test_satisfied_n6_block_comes_from_the_exact_path(caplog):
     # EXACT_N6 fits no caustic placement, so its A block is tested directly
     with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
-        deficient = _certified(lambda number: _test_A(sqrt_series(EXACT_N6, 8, number), 3))
+        kind, _, kernel = conditions._exact_kernel(EXACT_N6, (SeriesKind.A,), 6)
         sol = solve_pell(EXACT_N6, 6, PellVariant.EVEN_A)
-    assert deficient and sol is not None and verify_pell(sol)
+    assert kind is SeriesKind.A and kernel and sol is not None and verify_pell(sol)
     assert _paths(caplog) == {"exact"}
 
 
@@ -450,12 +448,21 @@ def test_non_unit_parameters_fall_back_to_exact(caplog):
         assert cayley_test(params, CausticCase.S1, 8) is False
         assert _pell_solutions(params, CausticCase.S1, 8) == [None, None]
     assert _paths(caplog) == {"exact"}
-    # gamma1 = 1/p has no reduction either, but the exact series is p-integral
-    # and its blocks are certified mod p
+    # gamma1 = 1/p has no reduction either: though the exact series is
+    # p-integral, its blocks go straight to the exact kernel, as every block
+    # does that the series mod p cannot rank
     params = HyperellipticParams(F(4), F(2), F(1), F(1, MODULUS), F(-1, 2))
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
         assert cayley_test(params, CausticCase.S1, 8) is False
         assert _pell_solutions(params, CausticCase.S1, 8) == [None, None]
-    assert _paths(caplog) == {"modular"}
+    assert _paths(caplog) == {"exact"}
     assert all(r.decision["coeff_bits"] > MODULUS.bit_length() for r in caplog.records)
+
+
+def test_singular_variant_error_states_the_plain_value():
+    with pytest.raises(ValueError) as err:
+        solve_pell_singular((F(4), F(2), F(1)), F(3), 6, PellVariant.EVEN_A)
+    message = str(err.value)
+    assert message == "not a singular variant: evenA"
+    assert not any(leak in message for leak in ("<", "LineType.", "PellVariant."))

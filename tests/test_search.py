@@ -15,6 +15,7 @@ from minkbilliards import (
     CausticPair,
     Ellipsoid,
     LineType,
+    PellVariant,
     PeriodSignature,
     SearchSpec,
     chasles_residual,
@@ -28,10 +29,11 @@ from minkbilliards import (
     line_caustics,
     mink_dot,
     parity_ok,
+    solve_pell,
     tangent_line_for_caustics,
     trace,
 )
-from minkbilliards import search
+from minkbilliards import conditions, search
 from minkbilliards.conditions import HyperellipticParams, cayley_test
 from minkbilliards.errors import (
     BilliardError,
@@ -39,14 +41,13 @@ from minkbilliards.errors import (
     GammaOutOfRangeError,
     InvalidToleranceError,
     NoConvergenceError,
-    ThresholdViolationError,
 )
 from minkbilliards.search import (
     closure_error_at,
     condition_vector_floats,
     scan_singular_condition,
 )
-from minkbilliards.series import SeriesKind
+from minkbilliards.series import ModP, SeriesKind
 from conftest import admissible_trace, ref_lambda3_sweep_count
 
 
@@ -998,22 +999,22 @@ def test_find_periodic_debug_record(caplog):
     assert stats["candidates"] == len(cands) == 1
 
 
-def _solve_pell_calls(monkeypatch) -> list:
+def _certificate_calls(monkeypatch) -> list:
     calls = []
-    real = search.solve_pell
+    real = search._kernel_solution
 
-    def counted(params, n, variant):
+    def counted(params, n, variant, series, kernel):
         calls.append(variant.value)
-        return real(params, n, variant)
+        return real(params, n, variant, series, kernel)
 
-    monkeypatch.setattr(search, "solve_pell", counted)
+    monkeypatch.setattr(search, "_kernel_solution", counted)
     return calls
 
 
 def test_cross_validate_solves_pell_only_for_the_deficient_branch(monkeypatch):
-    calls = _solve_pell_calls(monkeypatch)
+    calls = _certificate_calls(monkeypatch)
     # the searched S1 root is irrational: NOT SATISFIED at its
-    # rationalization, so no Pell solve is tried
+    # rationalization, so no certificate is built
     [c] = find_periodic(SearchSpec((4.0, 2.0, 1.0), CausticCase.S1, 4, grid=32))
     rep = cross_validate(Ellipsoid(4.0, 2.0, 1.0),
                          CausticPair(c.gamma1, c.gamma2, LineType.SPACELIKE, -1), 4)
@@ -1027,16 +1028,50 @@ def test_cross_validate_solves_pell_only_for_the_deficient_branch(monkeypatch):
 
 
 def test_cross_validate_records_failed_pell_variants(monkeypatch):
-    # a variant that does not apply at this n is skipped; any other failure
-    # of the Pell stage is recorded with its variant
-    def fails(params, n, variant):
-        if variant.value == "evenA":
-            raise ThresholdViolationError("evenA needs n >= 6")
-        raise ValueError("no nullspace")
+    # a failure of the Pell stage is recorded with its variant
+    def fails(params, n, variant, series, kernel):
+        raise ValueError("no certificate")
 
-    monkeypatch.setattr(search, "solve_pell", fails)
+    monkeypatch.setattr(search, "_kernel_solution", fails)
     ell = Ellipsoid(1.0, 6.0 / 7.0, 6.0)
     rep = cross_validate(ell, CausticPair(0.75, -3.0, LineType.SPACELIKE, -1), 4)
     assert rep.pell_certificate is None
-    assert rep.failures == [("pell", "evenB: no nullspace")]
+    assert rep.failures == [("pell", "evenB: no certificate")]
     assert rep.valid
+
+
+@pytest.mark.parametrize("case,g1,g2", [(CausticCase.S1, F(28, 19), F(-14, 15)),
+                                        (CausticCase.S3, F(10, 3), F(-20, 19))])
+def test_cross_validate_decides_and_certifies_on_one_exact_path(case, g1, g2, caplog,
+                                                                monkeypatch):
+    # the verdict's series and kernel are the certificate's: one series
+    # build mod p, one exact build and one exact elimination per report
+    builds = []
+    real = conditions.series_sqrt
+
+    def counted(f, order):
+        builds.append(type(f[0]))
+        return real(f, order)
+
+    monkeypatch.setattr(conditions, "series_sqrt", counted)
+    ell = Ellipsoid(4.0, 2.0, 1.0)
+    with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+        rep = cross_validate(ell, CausticPair(float(g1), float(g2), LineType.SPACELIKE, -1), 6)
+    exact = [r.decision for r in caplog.records
+             if hasattr(r, "decision") and r.decision["path"] == "exact"]
+    assert classify_case(CausticPair(float(g1), float(g2), LineType.SPACELIKE, -1), ell) is case
+    assert rep.cayley_pass is True and rep.pell_certificate is not None
+    assert (builds.count(ModP), builds.count(F)) == (1, 1)
+    assert len(exact) == 1
+    params = HyperellipticParams(F(4), F(2), F(1), g1, g2)
+    assert rep.pell_certificate.to_json_dict() == solve_pell(
+        params, 6, PellVariant.EVEN_A).to_json_dict()
+
+
+def test_no_tangent_line_error_states_plain_values(e421):
+    # a time-like pair with S1 parameters has no line
+    with pytest.raises(NoConvergenceError) as err:
+        tangent_line_for_caustics(e421, CausticPair(1.0, -0.5, LineType.TIMELIKE, 1))
+    message = str(err.value)
+    assert "gamma1=1.0" in message and "gamma2=-0.5" in message and "time" in message
+    assert not any(leak in message for leak in ("<", "LineType.", "PellVariant."))
