@@ -54,7 +54,7 @@ from .series import (
     NormalizedSeries,
     SeriesKind,
     hankel_block,
-    matrix_rank,
+    hankel_rank,
     normalized_branch_poly,
     nullspace,
     series_div,
@@ -234,18 +234,23 @@ def _branches(case: CausticCase, n: int) -> tuple[SeriesKind, ...]:
     return tuple(kind for kind in _CASE_KINDS[case] if _is_branch(kind, n))
 
 
-def _block(kind: SeriesKind, series: NormalizedSeries, n: int) -> tuple[tuple, ...]:
-    """The kind's Hankel block at period n, r x (r-1) from coefficient s with
-    r = (n - s)/2 + 1; its columns reversed, the q-part of the Pell system."""
+def _shape(kind: SeriesKind, n: int) -> tuple[int, int]:
+    """(s, r) with s = _start(kind) and r = (n - s)/2 + 1."""
     s = _start(kind)
-    r = (n - s) // 2 + 1
+    return s, (n - s) // 2 + 1
+
+
+def _block(kind: SeriesKind, series: NormalizedSeries, n: int) -> tuple[tuple, ...]:
+    """The kind's Hankel block at period n, r x (r-1) from coefficient s
+    (``_shape``); its column-reversed form is the q-part of the Pell system."""
+    s, r = _shape(kind, n)
     return hankel_block(series, s, r, r - 1).entries
 
 
 def _deficient(kind: SeriesKind, series: NormalizedSeries, n: int) -> bool:
     """Whether the kind's block at period n, r x (r-1), has rank < r - 1."""
-    block = _block(kind, series, n)
-    return matrix_rank(block) < len(block) - 1
+    s, r = _shape(kind, n)
+    return hankel_rank(series, s, r, r - 1) < r - 1
 
 
 def _required_order(n: int) -> int:

@@ -21,8 +21,11 @@ Exact ranks carry a modular certificate.  A rational matrix whose entries
 are p-integral has rank mod p at most its rank over Q, so full rank mod p
 proves full rank over Q; that decides the common NOT-SATISFIED verdict on
 plain Python ints.  On residues the square-root recurrence sums its
-products as ints and reduces once per coefficient, and the elimination mod
-p updates only the columns right of each pivot and reduces an entry only
+products as ints and reduces once per coefficient.  A Hankel block of full
+rank m usually has nonzero leading minors mod p, which Chebyshev's moment
+recursion proves from its first 2m - 1 coefficients in O(m^2); a block
+with a vanishing minor goes to the general elimination mod p, which
+updates only the columns right of each pivot and reduces an entry only
 when it reads it.  Every other case (deficient mod p, a denominator
 divisible by p) falls back to the one exact elimination over Q: the
 fraction-free Bareiss echelon form, whose pivots give the rank and whose
@@ -270,10 +273,17 @@ class HankelMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-def hankel_block(series: NormalizedSeries, start: int, rows: int, cols: int) -> HankelMatrix:
+def _check_block(series: NormalizedSeries, start: int, rows: int, cols: int) -> None:
+    for name, value in (("start", start), ("rows", rows), ("cols", cols)):
+        if value < 0:
+            raise ValueError(f"Hankel block {name} must be >= 0, got {value}")
     if start + rows + cols - 2 > series.order:
         raise InsufficientOrderError(
             f"need coefficients through {start + rows + cols - 2}, have {series.order}")
+
+
+def hankel_block(series: NormalizedSeries, start: int, rows: int, cols: int) -> HankelMatrix:
+    _check_block(series, start, rows, cols)
     ent = tuple(tuple(series.coeffs[start + i + j] for j in range(cols)) for i in range(rows))
     return HankelMatrix(ent, start)
 
@@ -380,9 +390,11 @@ def matrix_rank(rows_in: list[list]) -> int:
     """Rank over the field of the entries: Q for Fractions, GF(p) for ModP.
 
     Rational matrices try the modular certificate first (full rank mod p is
-    full rank over Q) and fall back to Bareiss.  A full rank mod p of a ModP
-    matrix is logged as a decision over Q, since such a matrix is the
-    reduction of a rational one; a deficient one decides nothing.
+    full rank over Q) and fall back to Bareiss.  ``hankel_rank`` comes here
+    only when its leading-minor recursion cannot prove full rank.  A full
+    rank mod p of a ModP matrix is logged as a decision over Q, since such a
+    matrix is the reduction of a rational one; a deficient one decides
+    nothing.
     """
     rank = rank_mod_p(rows_in)
     if rank == (min(len(rows_in), len(rows_in[0])) if rows_in else 0):
@@ -395,11 +407,48 @@ def matrix_rank(rows_in: list[list]) -> int:
     return rank
 
 
+def _leading_minors_nonzero_mod_p(mu: list[int], m: int) -> bool:
+    """Whether the leading principal minors D_1 ... D_m of the Hankel matrix
+    (mu[i+j]) are all nonzero mod p, from the residues mu_0 ... mu_{2m-2}.
+
+    Chebyshev's moment recursion (Gautschi 2004, section 2.1.7) gives
+    sigma_{k,k} = D_{k+1}/D_k one level k at a time: sigma_{0,l} = mu_l,
+    sigma_{-1,l} = 0, sigma_{k,l} = sigma_{k-1,l+1} - alpha_{k-1} sigma_{k-1,l}
+    - beta_{k-1} sigma_{k-2,l}, alpha_k = sigma_{k,k+1}/sigma_{k,k} -
+    sigma_{k-1,k}/sigma_{k-1,k-1} and beta_k = sigma_{k,k}/sigma_{k-1,k-1}.
+    A zero sigma_{k,k} stops it.  ``cur`` holds level k from l = k on.
+    """
+    cur, prev = mu, [0] * len(mu)
+    ratio = inv_prev = 0
+    for _ in range(m - 1):
+        if not cur[0]:
+            return False
+        inv = pow(cur[0], -1, MODULUS)
+        alpha, ratio = (cur[1] * inv - ratio) % MODULUS, cur[1] * inv % MODULUS
+        beta, inv_prev = cur[0] * inv_prev % MODULUS, inv
+        cur, prev = [(x - alpha * y - beta * z) % MODULUS
+                     for x, y, z in zip(cur[2:], cur[1:], prev[2:])], cur
+    return not m or cur[0] != 0
+
+
 def hankel_rank(series: NormalizedSeries, row_lo: int, rows: int, cols: int) -> int:
     """Rank of the Hankel block starting at coefficient ``row_lo``, over the
-    field of the series' coefficients (see ``matrix_rank``)."""
-    block = hankel_block(series, row_lo, rows, cols)
-    return matrix_rank([list(r) for r in block.entries])
+    field of the series' coefficients.  Its full rank m = min(rows, cols) is
+    proved in O(m^2) when its leading minors are nonzero mod p (logged as
+    ``matrix_rank`` logs it); a vanishing minor, or a coefficient with no
+    reduction, leaves the block to ``matrix_rank``."""
+    _check_block(series, row_lo, rows, cols)
+    m = min(rows, cols)
+    try:
+        full = _leading_minors_nonzero_mod_p(
+            [_residue(x) for x in series.coeffs[row_lo:row_lo + 2 * m - 1]], m)
+    except NonUnitError:
+        full = False
+    if not full:
+        return matrix_rank(hankel_block(series, row_lo, rows, cols).entries)
+    if _log.isEnabledFor(logging.DEBUG):
+        _log_decision("rank", hankel_block(series, row_lo, rows, cols).entries, m, "modular")
+    return m
 
 
 def nullspace(rows_in: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

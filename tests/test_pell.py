@@ -19,7 +19,7 @@ from minkbilliards import (
     solve_pell_singular,
     verify_pell,
 )
-from minkbilliards import conditions, search
+from minkbilliards import conditions, search, series
 from minkbilliards.conditions import (
     divided_series,
     double_caustic_test,
@@ -406,6 +406,52 @@ def test_rationalized_pairs_not_satisfied_modularly(n, caplog):
         assert verdict == any(s is not None for s in sols)
         assert _paths(caplog) == {"modular"}
         assert all(r.decision["coeff_bits"] is None for r in caplog.records)
+
+
+def _count_rank_mod_p(monkeypatch) -> list[int]:
+    """Count the calls of the general elimination mod p."""
+    calls = [0]
+    eliminate = series.rank_mod_p
+
+    def counted(rows):
+        calls[0] += 1
+        return eliminate(rows)
+
+    monkeypatch.setattr(series, "rank_mod_p", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_rationalized_pairs_ranked_by_the_leading_minors(n, caplog, monkeypatch):
+    # the same pairs: every gate block has nonzero leading minors mod p, so
+    # the Chebyshev recursion proves its full rank and no block is eliminated
+    calls = _count_rank_mod_p(monkeypatch)
+    rng = random.Random(300 + n)
+    for case, (r1, r2) in [item for item in PLACEMENTS.items() for _ in range(4)]:
+        params = HyperellipticParams.from_floats(4.0, 2.0, 1.0, rng.uniform(*r1), rng.uniform(*r2))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+            assert cayley_test(params, case, n) is False
+            assert all(s is None for s in _pell_solutions(params, case, n))
+        assert _paths(caplog) == {"modular"}
+    assert calls[0] == 0
+
+
+@pytest.mark.parametrize("n, expected", [
+    (6, [((2, 1), 1), ((3, 2), 2)]),
+    (10, [((4, 3), 3), ((5, 4), 4)]),
+])
+def test_vanishing_leading_minor_falls_back_to_elimination(n, expected, caplog, monkeypatch):
+    # the S1 set's B block starts at B2 = 0 (its n = 4 condition), so D_1
+    # vanishes and the recursion stops; the general elimination mod p still
+    # proves full rank, with the decisions of that elimination alone
+    calls = _count_rank_mod_p(monkeypatch)
+    with caplog.at_level(logging.DEBUG, logger="minkbilliards.series"):
+        assert cayley_test(EXACT_S1_N4, CausticCase.S1, n) is False
+    decisions = [r.decision for r in caplog.records if hasattr(r, "decision")]
+    assert [(d["shape"], d["rank"]) for d in decisions] == expected
+    assert all(d["path"] == "modular" and d["coeff_bits"] is None for d in decisions)
+    assert calls[0] > 0
 
 
 def test_large_period_not_satisfied_modularly(caplog):

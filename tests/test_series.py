@@ -12,6 +12,7 @@ from minkbilliards.conditions import RATIONALIZE_DENOMINATOR_BOUND, _start
 from minkbilliards.errors import InsufficientOrderError
 from minkbilliards.series import (
     MODULUS,
+    _leading_minors_nonzero_mod_p,
     ModP,
     NonUnitError,
     NormalizedSeries,
@@ -80,6 +81,18 @@ def test_hankel_block_structure():
             assert blk.entries[i][j] == coeffs[3 + i + j]
     with pytest.raises(InsufficientOrderError):
         hankel_block(s, 8, 3, 3)
+
+
+@pytest.mark.parametrize("start, rows, cols, name", [
+    (-2, 2, 2, "start"), (2, -1, 2, "rows"), (2, 2, -1, "cols")])
+def test_hankel_block_rejects_negative_arguments(start, rows, cols, name):
+    # a negative start would wrap around to the last coefficients, and a
+    # negative row count would rank an empty block
+    s = NormalizedSeries(SeriesKind.A, tuple(F(k) for k in range(1, 10)))
+    with pytest.raises(ValueError, match=name):
+        hankel_block(s, start, rows, cols)
+    with pytest.raises(ValueError, match=name):
+        hankel_rank(s, start, rows, cols)
 
 
 def test_rank_trivial_cases():
@@ -313,6 +326,46 @@ def int_matrices(draw):
 def test_rank_mod_p_matches_eager_elimination(m):
     assert rank_mod_p(m) == _eager_rank_mod_p(m)
     assert rank_mod_p([[ModP(x) for x in row] for row in m]) == _eager_rank_mod_p(m)
+
+
+@st.composite
+def hankel_sequences(draw):
+    """Residue sequences of length 13 whose Hankel minors often vanish:
+    zeros and small values, geometric sequences (rank 1 from the start) and
+    period-k sequences (rank at most k), with some entries then zeroed."""
+    style = draw(st.sampled_from(["free", "geometric", "periodic"]))
+    small = st.integers(0, 3)
+    if style == "free":
+        seq = draw(st.lists(st.one_of(small, st.integers(0, MODULUS - 1)), min_size=13, max_size=13))
+    elif style == "geometric":
+        c, q = draw(small), draw(st.one_of(small, st.integers(0, MODULUS - 1)))
+        seq = [c * pow(q, i, MODULUS) % MODULUS for i in range(13)]
+    else:
+        base = draw(st.lists(small, min_size=1, max_size=4))
+        seq = [base[i % len(base)] for i in range(13)]
+    for i in draw(st.lists(st.integers(0, 12), max_size=2)):
+        seq[i] = 0
+    return seq
+
+
+@given(hankel_sequences(), st.integers(0, 7))
+def test_leading_minor_recursion_matches_eager_minors(seq, m):
+    # D_k != 0 mod p iff the k x k leading block has full rank mod p
+    mu = seq[:2 * m - 1] if m else []
+    expected = all(_eager_rank_mod_p([mu[i:i + k] for i in range(k)]) == k for k in range(1, m + 1))
+    assert _leading_minors_nonzero_mod_p(mu, m) is expected
+
+
+@given(hankel_sequences(), st.integers(0, 4), st.integers(0, 6), st.integers(0, 6),
+       st.integers(0, 12))
+def test_hankel_rank_matches_the_block_rank(seq, start, rows, cols, at):
+    assume(start + rows + cols - 2 <= 12)
+    rational = [F(x, 1 + i % 3) for i, x in enumerate(seq)]
+    non_unit = rational[:at] + [F(1, MODULUS)] + rational[at + 1:]
+    for coeffs in (rational, [ModP(x) for x in rational], non_unit):
+        s = NormalizedSeries(SeriesKind.A, tuple(coeffs))
+        block = [list(r) for r in hankel_block(s, start, rows, cols).entries]
+        assert hankel_rank(s, start, rows, cols) == matrix_rank(block)
 
 
 def _sqrt_by_halving(f, order):
